@@ -7,6 +7,7 @@ runs on identical inputs; every cap and budget in play is echoed.
 """
 
 import argparse
+import functools
 import sys
 
 from ssetkit import core
@@ -285,7 +286,10 @@ def _cmd_we_cert(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and no argument has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="ssetkit",
         description="finite simplicial sets: colimits, lifting, cell "

@@ -61,7 +61,8 @@ def _epi_mono(h):
     return tuple(rank[v] for v in h), tuple(image)
 
 
-@dataclass(frozen=True)
+# slots keep memory down: every face and map image is one of these
+@dataclass(frozen=True, slots=True)
 class SimplexRef:
     """A simplex in normal form: a nondegenerate base plus a strictly
     decreasing degeneracy word (empty for nondegenerate simplices)."""
@@ -288,20 +289,35 @@ def compose(g, f):
 
 
 def map_errors(f):
-    """Face-compatibility defects of a map, as human-readable strings.
-    Empty iff f is a genuine simplicial map (assuming valid endpoints)."""
+    """Defects of a map, as human-readable strings: missing images, images
+    that are not simplices of the target in normal form, and face
+    incompatibilities.  Empty iff f is a genuine simplicial map (assuming
+    valid endpoints)."""
     issues = []
     src, tgt = f.source, f.target
+    bad = set()   # generators whose faces cannot be compared
     for name in src.names():
         d = src.dim_of(name)
         img = f.images.get(name)
         if img is None:
-            issues.append(f"no image for {name}")
+            issue = f"no image for {name}"
+        elif not tgt.has(img.base):
+            issue = (f"image of {name} names {img.base!r}, which is not a "
+                     "simplex of the target")
+        elif tgt.ref_dim(img) != d:
+            issue = f"image of {name} has wrong dimension"
+        elif not word_valid(img.word, d):
+            issue = (f"image of {name}: degeneracy word {img.word} is not "
+                     "in normal form")
+        else:
+            issue = None
+        if issue is not None:
+            issues.append(issue)
+            bad.add(name)
             continue
-        if tgt.ref_dim(img) != d:
-            issues.append(f"image of {name} has wrong dimension")
+        if d == 0 or any(r.base in bad for r in src.faces_of(name)):
             continue
-        for i in range(d + 1) if d else ():
+        for i in range(d + 1):
             want = f(src.faces_of(name)[i])
             got = tgt.face(img, i)
             if want != got:
@@ -524,19 +540,29 @@ def enumerate_maps(a, x):
                 return False
         return True
 
-    def extend(t):
+    # depth-first over the generators with an explicit stack: nxt[t] is
+    # the next candidate to try for generator t
+    nxt = [0] * len(gens)
+    t = 0
+    while t >= 0:
         if t == len(gens):
             out.append(SimplicialMap(a, x, images))
-            return
+            t -= 1
+            continue
         name = gens[t]
         d = a.dim_of(name)
-        for cand in candidates[d]:
-            if d == 0 or fits(name, d, cand):
-                images[name] = cand
-                extend(t + 1)
-                del images[name]
-
-    extend(0)
+        cands = candidates[d]
+        i = nxt[t]
+        while i < len(cands) and not (d == 0 or fits(name, d, cands[i])):
+            i += 1
+        if i == len(cands):
+            nxt[t] = 0
+            images.pop(name, None)
+            t -= 1
+            continue
+        images[name] = cands[i]
+        nxt[t] = i + 1
+        t += 1
     return tuple(out)
 
 

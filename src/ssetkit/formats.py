@@ -37,6 +37,8 @@ from ssetkit.core import (
     FiniteSimplicialSet,
     SimplexRef,
     SimplicialMap,
+    map_errors,
+    validate,
 )
 from ssetkit.cells import (
     Attachment,
@@ -273,8 +275,9 @@ def print_cellpres(pres, base_name="base"):
 
 
 def parse_cellpres(text):
-    """Parse cellpres/1; stage objects named stage1..stageK are verified
-    against the recomputed realization."""
+    """Parse cellpres/1; attaching maps are checked with `map_errors`, and
+    stage objects named stage1..stageK are verified against the recomputed
+    realization."""
     lines = list(_strip(enumerate(text.splitlines(), start=1)))
     if not lines or lines[0][1] != "cellpres/1":
         raise FormatError(lines[0][0] if lines else 1,
@@ -308,6 +311,7 @@ def parse_cellpres(text):
     base = doc.object(base_name, 1)
 
     stages = []
+    valid = {}
     for no, (s_txt, kind, n_txt, k_txt, map_name) in stage_lines:
         s = int(s_txt)
         if s != len(stages) and s != len(stages) + 1 or s == 0:
@@ -324,6 +328,18 @@ def parse_cellpres(text):
         if attaching.source != generator_source(kind, n, k):
             raise FormatError(no, f"map {map_name!r} does not start at the "
                               f"declared generator source")
+        # realize checks that the target is the stage attached to; the
+        # map itself must be simplicial, into a valid object
+        target = attaching.target
+        if target not in valid:
+            valid[target] = validate(target).ok
+        if not valid[target]:
+            raise FormatError(no, f"map {map_name!r} lands in an invalid "
+                              "object")
+        errors = map_errors(attaching)
+        if errors:
+            raise FormatError(no, f"map {map_name!r} is not simplicial: "
+                              + "; ".join(errors))
         try:
             stages[-1].append(Attachment(kind, n, k, attaching))
         except ValueError as exc:

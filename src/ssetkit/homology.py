@@ -6,6 +6,10 @@ d-simplices, and degenerate faces contribute zero to the boundary.  All
 arithmetic is exact over Python's arbitrary-precision integers, so the
 no-silent-overflow policy holds by construction.
 
+Boundary maps are stored as sparse integer columns.  Each is reduced once
+per chain complex: unit pivots are eliminated on the sparse columns, and
+only the block that is left goes through the dense Smith normal form.
+
 The certificate checks (a) a bijection on path components and (b) acyclicity
 of the algebraic mapping cone in degrees 0..maxdim, which decides that the
 induced maps on H_d are isomorphisms for d < maxdim and epimorphisms at
@@ -18,12 +22,15 @@ from dataclasses import dataclass
 
 class ChainComplex:
     """Free integer chain complex: `basis[d]` lists the degree-d generators
-    and `boundary[d]` (d >= 1) is the matrix of the boundary map into
-    degree d-1, one column per generator."""
+    and `boundary[d]` (d >= 1) is the boundary map into degree d-1, as one
+    sparse column `{row: coeff}` per generator, zero entries omitted.  The
+    invariant factors of each boundary map are computed once and kept on
+    the instance."""
 
     def __init__(self, basis, boundary):
         self.basis = [list(b) for b in basis]
-        self.boundary = {d: [row[:] for row in m] for d, m in boundary.items()}
+        self.boundary = boundary
+        self._factors = {}
 
     def dims(self):
         return len(self.basis) - 1
@@ -34,25 +41,38 @@ class ChainComplex:
         return 0
 
     def matrix(self, d):
-        """Boundary matrix C_d -> C_{d-1}; zero-sized when out of range."""
-        m = self.boundary.get(d)
-        if m is not None:
-            return m
-        return [[0] * self.rank(d) for _ in range(self.rank(d - 1))]
+        """Dense boundary matrix C_d -> C_{d-1}, made on demand; zero-sized
+        when out of range."""
+        m = [[0] * self.rank(d) for _ in range(self.rank(d - 1))]
+        for j, col in enumerate(self.boundary.get(d, ())):
+            for i, v in col.items():
+                m[i][j] = v
+        return m
+
+    def factors(self, d):
+        """Invariant factors of the boundary map C_d -> C_{d-1}."""
+        out = self._factors.get(d)
+        if out is None:
+            out = self._factors[d] = _invariant_factors(
+                self.boundary.get(d, ()))
+        return out
 
 
-def _mat_mul(a, b):
-    if not a or not b or not b[0]:
-        rows = len(a)
-        cols = len(b[0]) if b else 0
-        return [[0] * cols for _ in range(rows)]
-    n = len(b)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def _is_zero(m):
-    return all(v == 0 for row in m for v in row)
+def _square_nonzero_degree(boundary):
+    """The least degree d with boundary_{d-1} . boundary_d != 0, or None.
+    Each column is pushed through the map below it: O(nnz . faces)."""
+    for d in sorted(boundary):
+        below = boundary.get(d - 1)
+        if below is None:
+            continue
+        for col in boundary[d]:
+            acc = {}
+            for i, v in col.items():
+                for r, w in below[i].items():
+                    acc[r] = acc.get(r, 0) + v * w
+            if any(acc.values()):
+                return d
+    return None
 
 
 def chain_complex(s):
@@ -61,20 +81,90 @@ def chain_complex(s):
     boundary . boundary = 0 before returning."""
     top = s.dim
     basis = [list(s.simplices(d)) for d in range(top + 1)]
-    index = {d: {n: i for i, n in enumerate(basis[d])} for d in range(top + 1)}
     boundary = {}
     for d in range(1, top + 1):
-        m = [[0] * len(basis[d]) for _ in range(len(basis[d - 1]))]
-        for j, name in enumerate(basis[d]):
-            for i, ref in enumerate(s.faces_of(name)):
+        index = {n: i for i, n in enumerate(basis[d - 1])}
+        columns = []
+        for name in basis[d]:
+            col = {}
+            sign = 1
+            for ref in s.faces_of(name):
                 if not ref.word:
-                    m[index[d - 1][ref.base]][j] += (-1) ** i
-        boundary[d] = m
-    cx = ChainComplex(basis, boundary)
-    for d in range(2, top + 1):
-        if not _is_zero(_mat_mul(cx.matrix(d - 1), cx.matrix(d))):
-            raise ValueError(f"boundary squared is nonzero in degree {d}")
-    return cx
+                    i = index[ref.base]
+                    v = col.get(i, 0) + sign
+                    if v:
+                        col[i] = v
+                    else:
+                        del col[i]
+                sign = -sign
+            columns.append(col)
+        boundary[d] = columns
+    d = _square_nonzero_degree(boundary)
+    if d is not None:
+        raise ValueError(f"boundary squared is nonzero in degree {d}")
+    return ChainComplex(basis, boundary)
+
+
+def _invariant_factors(columns):
+    """Nonzero invariant factors of the matrix with these sparse columns.
+
+    Unit pivots are eliminated first (Dumas-Heckenbach-Saunders-Welker
+    2003).  A column's pivot is the +-1 entry whose row has the fewest
+    other entries, since each of those entries costs one column update.
+    Clearing the pivot's row by column operations leaves the pivot alone
+    in its row and column, so each pivot is one invariant factor 1.  The
+    columns left over are densified and go through `smith_normal_form`.
+    """
+    cols = [dict(c) for c in columns]
+    rows = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    units = 0
+    pending = list(range(len(cols) - 1, -1, -1))
+    stuck = set()
+    while pending:
+        j = pending.pop()
+        col = cols[j]
+        best = None
+        for i, v in col.items():
+            if (v == 1 or v == -1) and (
+                    best is None or len(rows[i]) < len(rows[best])):
+                best = i
+        if best is None:
+            stuck.add(j)
+            continue
+        units += 1
+        cols[j] = {}
+        pivot = col.pop(best)
+        for i in col:
+            rows[i].discard(j)
+        rows[best].discard(j)
+        for k in rows.pop(best):
+            other = cols[k]
+            q = other.pop(best) * pivot
+            for i, v in col.items():
+                w = other.get(i, 0) - q * v
+                if w:
+                    if i not in other:
+                        rows[i].add(k)
+                    other[i] = w
+                else:
+                    del other[i]
+                    rows[i].discard(k)
+            if k in stuck:
+                # a column update can create a unit entry
+                stuck.remove(k)
+                pending.append(k)
+    left = [col for col in cols if col]
+    if not left:
+        return [1] * units
+    index = {i: r for r, i in enumerate(sorted({i for c in left for i in c}))}
+    dense = [[0] * len(left) for _ in index]
+    for j, col in enumerate(left):
+        for i, v in col.items():
+            dense[index[i]][j] = v
+    return [1] * units + smith_normal_form(dense).factors
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +297,9 @@ class HomologyGroup:
 def homology_of_complex(cx, d):
     if d < 0:
         raise ValueError("degree must be >= 0")
-    n = cx.rank(d)
-    rank_out = len(smith_normal_form(cx.matrix(d)).factors) if d >= 1 else 0
-    snf_in = smith_normal_form(cx.matrix(d + 1))
-    rank_in = len(snf_in.factors)
-    betti = n - rank_out - rank_in
-    torsion = tuple(f for f in snf_in.factors if f >= 2)
+    incoming = cx.factors(d + 1)
+    betti = cx.rank(d) - len(cx.factors(d)) - len(incoming)
+    torsion = tuple(f for f in incoming if f >= 2)
     return HomologyGroup(betti, torsion)
 
 
@@ -230,27 +317,23 @@ def homology_groups(s, maxdim):
 # Induced maps, mapping cones, and certificates
 
 def chain_map(f):
-    """Matrices of the induced map on normalized chains: a generator whose
-    image is degenerate maps to zero."""
+    """The induced map on normalized chains, one sparse column per source
+    generator: a generator whose image is degenerate maps to zero."""
     src = chain_complex(f.source)
     tgt = chain_complex(f.target)
     out = {}
     for d in range(len(src.basis)):
-        m = [[0] * len(src.basis[d]) for _ in range(tgt.rank(d))]
         tindex = {n: i for i, n in enumerate(tgt.basis[d])} \
             if d < len(tgt.basis) else {}
-        for j, name in enumerate(src.basis[d]):
-            img = f.images[name]
-            if not img.word:
-                m[tindex[img.base]][j] = 1
-        out[d] = m
+        out[d] = [{} if img.word else {tindex[img.base]: 1}
+                  for img in (f.images[name] for name in src.basis[d])]
     return src, tgt, out
 
 
 def mapping_cone(f):
     """The algebraic mapping cone of the induced chain map: degree d is
     C_{d-1}(source) + C_d(target), with boundary (-d_src, f# + d_tgt)."""
-    src, tgt, fmat = chain_map(f)
+    src, tgt, fmap = chain_map(f)
     top = max(src.dims() + 1, tgt.dims())
     basis = []
     for d in range(top + 1):
@@ -260,29 +343,21 @@ def mapping_cone(f):
         basis.append(names)
     boundary = {}
     for d in range(1, top + 1):
-        rows = len(basis[d - 1])
-        cols = len(basis[d])
-        m = [[0] * cols for _ in range(rows)]
-        src_cols = src.rank(d - 1)
-        src_rows = src.rank(d - 2) if d >= 2 else 0
-        dsrc = src.matrix(d - 1) if d >= 2 else []
-        dtgt = tgt.matrix(d)
-        fm = fmat.get(d - 1, [])
-        for j in range(src_cols):
-            for i in range(src_rows):
-                m[i][j] = -dsrc[i][j]
-            for i in range(tgt.rank(d - 1)):
-                val = fm[i][j] if fm else 0
-                m[src_rows + i][j] = val
-        for j in range(tgt.rank(d)):
-            for i in range(tgt.rank(d - 1)):
-                m[src_rows + i][src_cols + j] = dtgt[i][j]
-        boundary[d] = m
-    cone = ChainComplex(basis, boundary)
-    for d in range(2, top + 1):
-        if not _is_zero(_mat_mul(cone.matrix(d - 1), cone.matrix(d))):
-            raise RuntimeError("mapping cone boundary squared is nonzero")
-    return cone
+        # target rows come after the source rows of degree d-2
+        offset = src.rank(d - 2) if d >= 2 else 0
+        dsrc = src.boundary.get(d - 1)
+        columns = []
+        for j in range(src.rank(d - 1)):
+            col = {i: -v for i, v in dsrc[j].items()} if dsrc else {}
+            for i, v in fmap[d - 1][j].items():
+                col[offset + i] = v
+            columns.append(col)
+        for tcol in tgt.boundary.get(d, ()):
+            columns.append({offset + i: v for i, v in tcol.items()})
+        boundary[d] = columns
+    if _square_nonzero_degree(boundary) is not None:
+        raise RuntimeError("mapping cone boundary squared is nonzero")
+    return ChainComplex(basis, boundary)
 
 
 def path_components(s):

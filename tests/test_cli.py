@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ssetkit.cli import main
+from ssetkit.cli import _build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -131,6 +131,82 @@ map f : BAD -> P
         with pytest.raises(SystemExit) as exc:
             main(["validate", str(DATA / "rlp_boundary.sset"), "--bogus"])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("images,message", [
+        # the image of a vertex names a simplex the target lacks
+        ("a -> zz\n  b -> p\n  e -> s[0]·p", "'zz', which is not a simplex"),
+        # s[1] is no degeneracy word of an edge on a vertex
+        ("a -> p\n  b -> p\n  e -> s[1]·p", "not in normal form"),
+    ], ids=["unknown_image", "bad_word"])
+    def test_ill_formed_map_image_is_input_error(self, tmp_path, capsys,
+                                                 images, message):
+        doc = tmp_path / "bad.sset"
+        doc.write_text(f"""sset/1
+
+object A
+  dim 0: a b
+  dim 1: e
+  faces e: b a
+
+object P
+  dim 0: p
+
+map i : A -> A
+  a -> a
+  b -> b
+  e -> e
+
+map g : A -> P
+  {images}
+""")
+        code = main(["pushout", str(doc), "--i", "i", "--g", "g"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_ill_formed_attaching_map_is_input_error(self, tmp_path, capsys):
+        text = (DATA / "horn_fill.cellpres").read_text()
+        head, _, rest = text.partition("object stage1\n")
+        doc = tmp_path / "bad.cellpres"
+        doc.write_text(head + rest[rest.index("map attach1_0"):]
+                       .replace("  01 -> 01", "  01 -> 12"))
+        code, out = run_cli(capsys, "realize", str(doc))
+        assert code == 2
+        assert out == ""
+
+
+class TestParserReuse:
+    CALLS = [
+        ["homology", str(DATA / "homology.sset"), "--object", "circle",
+         "--maxdim", "2"],
+        ["validate", str(DATA / "rlp_boundary.sset"), "--bogus"],
+        ["we-cert", str(DATA / "homology.sset"), "--map", "horn_inc"],
+        ["hom", str(DATA / "functorial.sset"), "--source", "P",
+         "--target", "PP", "--count"],
+        ["rlp", str(DATA / "rlp_boundary.sset"), "--map", "collapse",
+         "--gen", "I", "--cap", "1"],
+        ["homology", str(DATA / "homology.sset"), "--object", "circle"],
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_calls_in_a_row_match_fresh_calls(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            _build_parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        _build_parser.cache_clear()
+        in_a_row = [self.call(capsys, argv) for argv in self.CALLS]
+        assert _build_parser.cache_info().misses == 1
+        assert in_a_row == fresh
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 1, 0]
 
 
 class TestOtherCommands:

@@ -39,6 +39,30 @@ def _mono_rec(m, n):
     return sum(counts)
 
 
+# The recursive search that `enumerate_maps` replaced, kept as the oracle
+# for its order on small hom-sets.
+def _recursive_hom(a, x):
+    gens = list(a.names())
+    out = []
+    images = {}
+
+    def extend(t):
+        if t == len(gens):
+            out.append(SimplicialMap(a, x, images))
+            return
+        name = gens[t]
+        d = a.dim_of(name)
+        for cand in enumerate_simplices(x, d):
+            if all(x.face(cand, i) == SimplicialMap(a, x, images)(fr)
+                   for i, fr in enumerate(a.faces_of(name) if d else ())):
+                images[name] = cand
+                extend(t + 1)
+                del images[name]
+
+    extend(0)
+    return tuple(out)
+
+
 def circle():
     return FiniteSimplicialSet(
         {0: ["v"], 1: ["e"]},
@@ -210,6 +234,20 @@ class TestEnumerateMaps:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
+    def test_order_matches_recursive_search(self):
+        objs = [empty_sset(), simplex(0), boundary(1), simplex(1), circle(),
+                horn(2, 1), boundary(2), simplex(2)]
+        for a in objs:
+            for x in objs:
+                assert enumerate_maps(a, x) == _recursive_hom(a, x), (a, x)
+
+    def test_deep_source_does_not_recurse(self):
+        # one generator per nonempty vertex subset: 2047 of them
+        maps = enumerate_maps(simplex(10), simplex(0))
+        assert len(maps) == 1
+        assert set(maps[0].images.values()) == \
+            set(enumerate_simplices(simplex(0), d)[0] for d in range(11))
+
     def test_circle_maps_to_interval_are_constant(self):
         maps = enumerate_maps(circle(), simplex(1))
         # the loop must land on a degenerate edge: one map per vertex
@@ -290,3 +328,24 @@ class TestMapErrors:
                           {"0": SimplexRef("0"), "1": SimplexRef("0"),
                            "01": SimplexRef("01")})
         assert map_errors(f)
+
+    def test_unknown_image_is_a_diagnostic(self):
+        f = SimplicialMap(simplex(1), simplex(0),
+                          {"0": SimplexRef("0"), "1": SimplexRef("zz"),
+                           "01": SimplexRef("0", (0,))})
+        assert map_errors(f) == [
+            "image of 1 names 'zz', which is not a simplex of the target"]
+
+    def test_image_word_not_in_normal_form_is_a_diagnostic(self):
+        f = SimplicialMap(simplex(1), simplex(0),
+                          {"0": SimplexRef("0"), "1": SimplexRef("0"),
+                           "01": SimplexRef("0", (1,))})
+        assert map_errors(f) == [
+            "image of 01: degeneracy word (1,) is not in normal form"]
+
+    def test_faces_over_a_bad_image_are_not_compared(self):
+        f = SimplicialMap(simplex(2), simplex(0), {
+            n: SimplexRef("0", tuple(range(len(n) - 2, -1, -1)))
+            for n in simplex(2).names()})
+        del f.images["1"]
+        assert map_errors(f) == ["no image for 1"]

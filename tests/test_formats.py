@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from ssetkit.core import (
@@ -22,6 +24,7 @@ from ssetkit.formats import (
     print_soa,
 )
 
+DATA = pathlib.Path(__file__).parent / "data"
 
 SAMPLE = """sset/1
 
@@ -154,6 +157,26 @@ class TestCellpresFormat:
         with pytest.raises(FormatError, match="stage"):
             parse_cellpres(text.replace("object stage1\n  dim 0: ",
                                         "object stage1\n  dim 0: extra ", 1))
+
+    def test_attaching_maps_are_checked(self):
+        # without a declared stage1 only the attaching map itself can show
+        # that the horn's edge 01 does not go to an edge from 0 to 1
+        text = (DATA / "horn_fill.cellpres").read_text()
+        head, _, rest = text.partition("object stage1\n")
+        undeclared = head + rest[rest.index("map attach1_0"):]
+        parse_cellpres(undeclared)
+        with pytest.raises(FormatError, match="line 3: map 'attach1_0' is "
+                                              "not simplicial: face 0 of 01"):
+            parse_cellpres(undeclared.replace("  01 -> 01", "  01 -> 12"))
+        with pytest.raises(FormatError, match="'zz', which is not a simplex"):
+            parse_cellpres(undeclared.replace("  2 -> 2", "  2 -> zz"))
+
+    def test_attaching_map_into_invalid_object(self):
+        text = (DATA / "horn_fill.cellpres").read_text()
+        broken = text.replace("  faces 12: 2 1\n\nobject horn2_1",
+                              "  faces 12: 2 ghost\n\nobject horn2_1", 1)
+        with pytest.raises(FormatError, match="lands in an invalid object"):
+            parse_cellpres(broken)
 
     def test_missing_base(self):
         with pytest.raises(FormatError, match="base"):

@@ -1,5 +1,15 @@
+import pathlib
 import random
+import time
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_homology as dense
+from dense_homology import _is_zero, _mat_mul
+from instances import SMALL_POOL, random_presentation
 from ssetkit.core import (
     FiniteSimplicialSet,
     SimplexRef,
@@ -15,18 +25,19 @@ from ssetkit.core import (
     simplex,
     validate,
 )
-from ssetkit.cells import PresentationBuilder
+from ssetkit.cells import PresentationBuilder, realize
+from ssetkit.formats import parse_cellpres, parse_document
 from ssetkit.homology import (
+    ChainComplex,
     HomologyGroup,
     chain_complex,
     homology,
     homology_groups,
+    homology_of_complex,
     mapping_cone,
     path_components,
     smith_normal_form,
     weak_equivalence_certificate,
-    _is_zero,
-    _mat_mul,
 )
 
 
@@ -231,5 +242,172 @@ class TestCertificate:
     def test_cone_of_identity_acyclic(self):
         cone = mapping_cone(identity(simplex(2)))
         for d in range(4):
-            from ssetkit.homology import homology_of_complex
             assert homology_of_complex(cone, d).trivial
+
+
+# ---------------------------------------------------------------------------
+# The sparse reduction against the dense code it replaced
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _closure(facets):
+    out = set()
+    for f in facets:
+        r = tuple(sorted(f))
+        for size in range(1, len(r) + 1):
+            out.update(combinations(r, size))
+    return out
+
+
+def _name(s):
+    return "v" + "_".join(map(str, s))
+
+
+def complex_from_facets(facets):
+    """The ordered simplicial complex spanned by `facets` (tuples of
+    comparable vertices), as a simplicial set."""
+    simplices = _closure(facets)
+    top = max(len(s) for s in simplices) - 1
+    by_dim = {d: [_name(s) for s in sorted(simplices) if len(s) == d + 1]
+              for d in range(top + 1)}
+    faces = {_name(s): [SimplexRef(_name(s[:i] + s[i + 1:]))
+                        for i in range(len(s))]
+             for s in simplices if len(s) >= 2}
+    return FiniteSimplicialSet(by_dim, faces)
+
+
+def quotient(facets, collapse):
+    """The complex spanned by `facets` with the subcomplex spanned by
+    `collapse` crushed to the vertex "pt": a face inside the subcomplex
+    becomes the degenerate simplex on "pt" of its dimension."""
+    crushed = _closure(collapse)
+    keep = [s for s in sorted(_closure(facets)) if s not in crushed]
+    by_dim = {0: ["pt"]}
+    for s in keep:
+        by_dim.setdefault(len(s) - 1, []).append(_name(s))
+
+    def ref(t):
+        if t in crushed:
+            return SimplexRef("pt", tuple(range(len(t) - 2, -1, -1)))
+        return SimplexRef(_name(t))
+
+    faces = {_name(s): [ref(s[:i] + s[i + 1:]) for i in range(len(s))]
+             for s in keep if len(s) >= 2}
+    return FiniteSimplicialSet(by_dim, faces)
+
+
+def same_homology(s):
+    top = max(s.dim, 0) + 1
+    assert homology_groups(s, top) == dense.homology_groups(s, top)
+
+
+def test_instances_agree_with_dense():
+    pool = list(SMALL_POOL) + [
+        circle(), sphere2(), torus_like_projective_plane(), empty_sset()]
+    pool += [simplex(n) for n in range(5)] + [boundary(n) for n in range(6)]
+    pool += [horn(n, k) for n in range(1, 5) for k in range(n + 1)]
+    for path in sorted(DATA.glob("*.sset")):
+        pool += [s for s in parse_document(path.read_text()).objects.values()
+                 if validate(s).ok]
+    for path in sorted(DATA.glob("*.cellpres")):
+        pool.append(realize(parse_cellpres(path.read_text())[0]).final)
+    rng = random.Random(11)
+    for base in (simplex(0), boundary(1), circle(), horn(2, 1)):
+        builder = random_presentation(rng, base, max_stages=2, max_cells=3)
+        pool.append(builder.current)
+    for s in pool:
+        assert chain_complex(s).matrix(s.dim) == \
+            dense.chain_complex(s).matrix(s.dim)
+        same_homology(s)
+
+
+def test_cones_agree_with_dense():
+    maps = [boundary_inclusion(n) for n in range(1, 5)]
+    maps += [horn_inclusion(n, k) for n in range(1, 5) for k in range(n + 1)]
+    for f in maps:
+        cone = mapping_cone(f)
+        oracle = dense.mapping_cone(f)
+        assert cone.basis == oracle.basis
+        for d in range(cone.dims() + 2):
+            assert cone.matrix(d) == oracle.matrix(d)
+            assert homology_of_complex(cone, d) == \
+                dense.homology_of_complex(oracle, d)
+
+
+FACETS = st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5,
+                           unique=True),
+                  min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FACETS)
+def test_random_complexes_agree_with_dense(facets):
+    s = complex_from_facets(facets)
+    assert validate(s).ok
+    same_homology(s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(FACETS, min_size=2, max_size=3))
+def test_disjoint_unions_agree_with_dense(parts):
+    facets = [tuple((tag, v) for v in f)
+              for tag, part in enumerate(parts) for f in part]
+    same_homology(complex_from_facets(facets))
+
+
+@settings(max_examples=40, deadline=None)
+@given(FACETS, st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3))
+def test_quotients_agree_with_dense(facets, picks):
+    simplices = sorted(_closure(facets))
+    collapse = [simplices[p % len(simplices)] for p in picks]
+    s = quotient(facets, collapse)
+    assert validate(s).ok
+    same_homology(s)
+
+
+ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 1, 2, 4, 6])
+MATRICES = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda rc: st.lists(st.lists(ENTRIES, min_size=rc[1], max_size=rc[1]),
+                        min_size=rc[0], max_size=rc[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+def test_reduction_matches_full_snf(m):
+    columns = [{i: row[j] for i, row in enumerate(m) if row[j]}
+               for j in range(len(m[0]))]
+    cx = ChainComplex([range(len(m)), range(len(m[0]))], {1: columns})
+    assert cx.matrix(1) == m
+    assert cx.factors(1) == smith_normal_form(m).factors
+
+
+def test_large_sphere():
+    start = time.perf_counter()
+    groups = homology_groups(boundary(10), 9)
+    assert groups == [HomologyGroup(1)] + [HomologyGroup(0)] * 8 \
+        + [HomologyGroup(1)]
+    # the dense code took about a minute here
+    assert time.perf_counter() - start < 10
+
+
+def test_broken_face_sign_is_caught():
+    # the faces of the triangle in a rotated order: d(d(t)) = 2(1) - 2(0)
+    bad = FiniteSimplicialSet(
+        {0: ["0", "1", "2"], 1: ["01", "02", "12"], 2: ["t"]},
+        {"01": [SimplexRef("1"), SimplexRef("0")],
+         "02": [SimplexRef("2"), SimplexRef("0")],
+         "12": [SimplexRef("2"), SimplexRef("1")],
+         "t": [SimplexRef("02"), SimplexRef("12"), SimplexRef("01")]})
+    for build in (chain_complex, dense.chain_complex):
+        with pytest.raises(ValueError, match="nonzero in degree 2"):
+            build(bad)
+
+
+def test_non_chain_map_cone_is_caught():
+    # both ends of the edge go to vertex 0, the edge to itself
+    f = SimplicialMap(simplex(1), simplex(1), {
+        "0": SimplexRef("0"), "1": SimplexRef("0"), "01": SimplexRef("01")})
+    for cone in (mapping_cone, dense.mapping_cone):
+        with pytest.raises(RuntimeError, match="boundary squared is nonzero"):
+            cone(f)
