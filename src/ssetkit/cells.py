@@ -21,10 +21,7 @@ from ssetkit.core import (
     SimplicialMap,
     _vertex_name,
     boundary,
-    boundary_inclusion,
     compose,
-    horn,
-    horn_inclusion,
     identity,
     relabel,
     simplex,
@@ -36,22 +33,12 @@ from ssetkit.colimits import (
     pushout_induced,
     sequential_colimit,
 )
+from ssetkit.lifting import generator
 
 
 def generator_source(kind, n, k=None):
-    if kind == "I":
-        return boundary(n)
-    if kind == "J":
-        return horn(n, k)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def generator_inclusion(kind, n, k=None):
-    if kind == "I":
-        return boundary_inclusion(n)
-    if kind == "J":
-        return horn_inclusion(n, k)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    """The source of the generator `lifting.generator(kind, n, k)`."""
+    return generator(kind, n, k).source
 
 
 @dataclass(frozen=True)

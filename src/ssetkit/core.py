@@ -12,9 +12,14 @@ Everything here is immutable after construction; internal memo tables are
 write-once caches and do not affect equality.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
+
+# fixed sizes of the module-level memos, so that none grows without bound:
+# objects and hom-sets are large and few, monotone operators small and many
+OBJECT_CACHE_SIZE = 128
+OPERATOR_CACHE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +35,7 @@ def _mono_identity(n):
     return tuple(range(n + 1))
 
 
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _coface(i, n):
     # the injection [n-1] -> [n] that skips i
     return tuple(range(i)) + tuple(range(i + 1, n + 1))
@@ -40,6 +46,7 @@ def _codegeneracy(i, n):
     return tuple(x if x <= i else x - 1 for x in range(n + 2))
 
 
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _word_to_surj(word, base_dim):
     """Surjection [base_dim + len(word)] -> [base_dim] named by a decreasing
     degeneracy word, applied innermost-last."""
@@ -61,9 +68,9 @@ def _epi_mono(h):
     return tuple(rank[v] for v in h), tuple(image)
 
 
-# slots keep memory down: every face and map image is one of these
-@dataclass(frozen=True, slots=True)
-class SimplexRef:
+# a tuple keeps memory down and compares and hashes in C: every face, map
+# image and search candidate is one of these
+class SimplexRef(NamedTuple):
     """A simplex in normal form: a nondegenerate base plus a strictly
     decreasing degeneracy word (empty for nondegenerate simplices)."""
 
@@ -442,7 +449,7 @@ def _subsets_object(n, keep):
     return FiniteSimplicialSet(by_dim, faces)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=OBJECT_CACHE_SIZE)
 def simplex(n):
     """The standard n-simplex: one nondegenerate simplex per nonempty subset
     of its vertices, named by the vertex list (e.g. "02")."""
@@ -451,7 +458,7 @@ def simplex(n):
     return _subsets_object(n, lambda verts: True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=OBJECT_CACHE_SIZE)
 def boundary(n):
     """The boundary of the standard n-simplex (empty when n = 0)."""
     if n < 0:
@@ -459,7 +466,7 @@ def boundary(n):
     return _subsets_object(n, lambda verts: len(verts) < n + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=OBJECT_CACHE_SIZE)
 def horn(n, k):
     """The (n,k)-horn: the boundary minus the face opposite vertex k."""
     if n < 1 or not 0 <= k <= n:
@@ -475,13 +482,13 @@ def _name_inclusion(sub, ambient):
                          {name: SimplexRef(name) for name in sub.names()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=OBJECT_CACHE_SIZE)
 def boundary_inclusion(n):
     """The canonical inclusion of the boundary into the n-simplex."""
     return _name_inclusion(boundary(n), simplex(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=OBJECT_CACHE_SIZE)
 def horn_inclusion(n, k):
     """The canonical inclusion of the (n,k)-horn into the n-simplex."""
     return _name_inclusion(horn(n, k), simplex(n))
@@ -517,53 +524,81 @@ def enumerate_simplices(s, d):
     return out
 
 
-@lru_cache(maxsize=None)
-def enumerate_maps(a, x):
-    """The complete hom-set of simplicial maps a -> x, by dimension-increasing
-    backtracking over images of nondegenerate simplices with face-compatibility
-    pruning.  Order is lexicographic in the generator images."""
-    gens = [name for d in range(a.dim + 1) for name in a.simplices(d)]
-    candidates = {d: enumerate_simplices(x, d) for d in range(a.dim + 1)}
-    out = []
+def _face_index(x, d):
+    """The d-simplices of x grouped by face tuple (face_0, ..., face_d), in
+    canonical order within a group.  Built on first use, kept in x's memo."""
+    index = x._memo.get(("faces", d))
+    if index is None:
+        index = x._memo[("faces", d)] = {}
+        for ref in enumerate_simplices(x, d):
+            faces = tuple(x.face(ref, i) for i in range(d + 1))
+            index.setdefault(faces, []).append(ref)
+    return index
+
+
+def extensions(a, x, pins=None, over=None):
+    """The maps a -> x one at a time, lexicographic in the images of the
+    generators of `a`: a depth-first search on an explicit stack.  The
+    candidates for a generator are the simplices of x whose faces are the
+    images already chosen for its faces, looked up in `_face_index`.
+
+    `pins` maps a generator to pairs (alpha, want) that its image h must
+    satisfy: x.act(h, alpha) == want, or h == want when alpha is None.
+    `over` is a pair (f, bottom) of maps x -> y and a -> y; only maps h
+    with f . h == bottom come out.  When exhausted, the generator returns
+    the count of refuted candidates: |x_d| summed over the search nodes
+    visited, degenerate d-simplices included.
+    """
+    pins = pins or {}
+    gens = list(a.names())
     images = {}
+    refuted = 0
 
-    def fits(name, d, cand):
-        for i in range(d + 1):
-            fr = a.faces_of(name)[i]
-            img = images[fr.base]
-            if fr.word:
-                g = _word_to_surj(fr.word, a.dim_of(fr.base))
-                want = x.act(img, g)
+    def candidates(name):
+        nonlocal refuted
+        d = a.dim_of(name)
+        pool = enumerate_simplices(x, d)
+        refuted += len(pool)
+        if d:
+            key = tuple(images[r.base] if not r.word else x.act(
+                images[r.base], _word_to_surj(r.word, a.dim_of(r.base)))
+                for r in a.faces_of(name))
+            pool = _face_index(x, d).get(key, ())
+        for alpha, want in pins.get(name, ()):
+            if alpha is None:
+                pool = (want,) if want in pool else ()
             else:
-                want = img
-            if x.face(cand, i) != want:
-                return False
-        return True
+                pool = [h for h in pool if x.act(h, alpha) == want]
+        if over is not None:
+            f, below = over[0], over[1].images[name]
+            pool = [h for h in pool if f(h) == below]
+        return pool
 
-    # depth-first over the generators with an explicit stack: nxt[t] is
-    # the next candidate to try for generator t
-    nxt = [0] * len(gens)
+    # cands[t] lists the candidates for generator t on the current path,
+    # and pos[t] is the next one to try
+    cands = [candidates(gens[0])] if gens else []
+    pos = [0] * len(gens)
     t = 0
     while t >= 0:
         if t == len(gens):
-            out.append(SimplicialMap(a, x, images))
-            t -= 1
+            yield SimplicialMap(a, x, images)
+        elif pos[t] < len(cands[t]):
+            images[gens[t]] = cands[t][pos[t]]
+            pos[t] += 1
+            t += 1
+            if t < len(gens):
+                cands[t:] = [candidates(gens[t])]
+                pos[t] = 0
             continue
-        name = gens[t]
-        d = a.dim_of(name)
-        cands = candidates[d]
-        i = nxt[t]
-        while i < len(cands) and not (d == 0 or fits(name, d, cands[i])):
-            i += 1
-        if i == len(cands):
-            nxt[t] = 0
-            images.pop(name, None)
-            t -= 1
-            continue
-        images[name] = cands[i]
-        nxt[t] = i + 1
-        t += 1
-    return tuple(out)
+        t -= 1
+    return refuted
+
+
+@lru_cache(maxsize=OBJECT_CACHE_SIZE)
+def enumerate_maps(a, x):
+    """The complete hom-set of simplicial maps a -> x, in the order of
+    `extensions`: lexicographic in the generator images."""
+    return tuple(extensions(a, x))
 
 
 # ---------------------------------------------------------------------------

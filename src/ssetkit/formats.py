@@ -275,9 +275,9 @@ def print_cellpres(pres, base_name="base"):
 
 
 def parse_cellpres(text):
-    """Parse cellpres/1; attaching maps are checked with `map_errors`, and
-    stage objects named stage1..stageK are verified against the recomputed
-    realization."""
+    """Parse cellpres/1; the base is checked with `validate`, attaching
+    maps with `map_errors`, and stage objects named stage1..stageK are
+    verified against the recomputed realization."""
     lines = list(_strip(enumerate(text.splitlines(), start=1)))
     if not lines or lines[0][1] != "cellpres/1":
         raise FormatError(lines[0][0] if lines else 1,
@@ -294,7 +294,7 @@ def parse_cellpres(text):
         if m:
             if base_name is not None:
                 raise FormatError(no, "duplicate base line")
-            base_name = m.group(1)
+            base_name, base_no = m.group(1), no
             idx += 1
             continue
         m = _STAGE_RE.match(line)
@@ -344,6 +344,12 @@ def parse_cellpres(text):
             stages[-1].append(Attachment(kind, n, k, attaching))
         except ValueError as exc:
             raise FormatError(no, str(exc)) from exc
+    # an attaching map into the base has checked it already
+    if base not in valid:
+        report = validate(base)
+        if not report.ok:
+            raise FormatError(base_no, f"base {base_name!r} is not a valid "
+                              "simplicial set: " + "; ".join(report.issues))
 
     pres = CellPresentation(base, tuple(tuple(st) for st in stages))
     try:

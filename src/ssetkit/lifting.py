@@ -1,11 +1,12 @@
 """Decidable lifting problems and transfer of lifts along retracts,
 pushouts, coproducts, and stage compositions.
 
-`solve_lift` decides a lifting problem by exhaustive backtracking over the
-images of the nondegenerate simplices of the lower-left object, pruned by
-both triangle constraints and face compatibility.  It returns the
-lexicographically least diagonal when one exists, and otherwise a refutation
-count (the search itself is the certificate of nonexistence).
+Lifts and squares come from the indexed search `core.extensions`.
+`solve_lift` takes the first extension B -> X pinned on i(A) by the top
+map and lying over the bottom map: the lexicographically least diagonal.
+When there is none, the exhausted search is the certificate, counted in
+refuted candidates.  `enumerate_squares` takes, for each top A -> X, the
+extensions B -> Y pinned on i(A) by f . top: the bottoms closing a square.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from ssetkit.core import (
     boundary_inclusion,
     compose,
     enumerate_maps,
-    enumerate_simplices,
+    extensions,
     horn_inclusion,
     identity,
 )
@@ -69,97 +70,65 @@ def verify_lift(problem, diagonal):
             and compose(problem.right, diagonal) == problem.bottom)
 
 
+def _pins(i, wants):
+    """Pins for `extensions` on maps h out of i.target with h . i = wants:
+    for each generator u of i.target, the pairs (alpha, want) with
+    i(a) = u . alpha and wants(a) = want."""
+    b = i.target
+    pins = {}
+    for name in i.source.names():
+        ref = i.images[name]
+        alpha = (_word_to_surj(ref.word, b.dim_of(ref.base))
+                 if ref.word else None)
+        pins.setdefault(ref.base, []).append((alpha, wants[name]))
+    return pins
+
+
 def solve_lift(problem):
     """Decide a lifting problem.  Returns the least diagonal in the
     lexicographic map order, or NoLift with search statistics."""
     i, f = problem.left, problem.right
-    b, x = i.target, f.source
-    a = i.source
-
-    # constraints from the top triangle: assigning the image of a
-    # nondegenerate simplex u of B pins down h(i(a)) for every a with
-    # i(a) based at u
-    top_constraints = {}
-    for name in a.names():
-        ref = i.images[name]
-        surj = (_word_to_surj(ref.word, b.dim_of(ref.base))
-                if ref.word else None)
-        top_constraints.setdefault(ref.base, []).append(
-            (surj, problem.top.images[name]))
-
-    gens = [name for d in range(b.dim + 1) for name in b.simplices(d)]
-    candidates = {d: enumerate_simplices(x, d) for d in range(b.dim + 1)}
-    images = {}
-    refuted = 0
-
-    def admissible(name, d, cand):
-        for surj, want in top_constraints.get(name, ()):
-            got = x.act(cand, surj) if surj else cand
-            if got != want:
-                return False
-        if f(cand) != problem.bottom.images[name]:
-            return False
-        for t in range(d + 1) if d else ():
-            fr = b.faces_of(name)[t]
-            img = images[fr.base]
-            if fr.word:
-                want = x.act(img, _word_to_surj(fr.word, b.dim_of(fr.base)))
-            else:
-                want = img
-            if x.face(cand, t) != want:
-                return False
-        return True
-
-    def search(t):
-        nonlocal refuted
-        if t == len(gens):
-            return SimplicialMap(b, x, images)
-        name = gens[t]
-        d = b.dim_of(name)
-        for cand in candidates[d]:
-            if admissible(name, d, cand):
-                images[name] = cand
-                found = search(t + 1)
-                del images[name]
-                if found is not None:
-                    return found
-                refuted += 1
-            else:
-                refuted += 1
-        return None
-
-    diag = search(0)
-    if diag is None:
-        return NoLift(refuted)
-    return Lift(diag)
+    search = extensions(i.target, f.source, _pins(i, problem.top.images),
+                        over=(f, problem.bottom))
+    try:
+        return Lift(next(search))
+    except StopIteration as done:
+        return NoLift(done.value)
 
 
 def enumerate_squares(i, f):
     """All commuting squares with left leg i and right leg f, ordered by
     (top index, bottom index) in the hom-set enumerations."""
-    tops = enumerate_maps(i.source, f.source)
-    bottoms = enumerate_maps(i.target, f.target)
     out = []
-    for top in tops:
-        ft = compose(f, top)
-        for bottom in bottoms:
-            if compose(bottom, i) == ft:
-                out.append(LiftingProblem(i, f, top, bottom))
+    for top in enumerate_maps(i.source, f.source):
+        wants = {name: f(ref) for name, ref in top.images.items()}
+        for bottom in extensions(i.target, f.target, _pins(i, wants)):
+            out.append(LiftingProblem(i, f, top, bottom))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Generator families and right-lifting-property reports
 
+def generator(kind, n, k=None):
+    """The generating cofibration (kind "I": the boundary inclusion into
+    the n-simplex) or trivial cofibration (kind "J": the inclusion of the
+    (n,k)-horn) with the given parameters."""
+    if kind == "I":
+        return boundary_inclusion(n)
+    if kind == "J":
+        return horn_inclusion(n, k)
+    raise ValueError(f"unknown generator kind {kind!r}")
+
+
 def generator_family(kind, cap):
     """The boundary inclusions ("I", n <= cap) or horn inclusions
     ("J", 1 <= n <= cap, 0 <= k <= n), each with its label."""
-    if kind == "I":
-        return [(("I", n), boundary_inclusion(n)) for n in range(cap + 1)]
-    if kind == "J":
-        return [(("J", n, k), horn_inclusion(n, k))
-                for n in range(1, cap + 1) for k in range(n + 1)]
-    raise ValueError(f"unknown generator family {kind!r}")
+    if kind not in ("I", "J"):
+        raise ValueError(f"unknown generator family {kind!r}")
+    labels = ([("I", n) for n in range(cap + 1)] if kind == "I" else
+              [("J", n, k) for n in range(1, cap + 1) for k in range(n + 1)])
+    return [(label, generator(*label)) for label in labels]
 
 
 @dataclass(frozen=True)

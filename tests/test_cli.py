@@ -1,9 +1,11 @@
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import ssetkit
 from ssetkit.cli import _build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -62,11 +64,15 @@ class TestGolden:
         assert "converged=yes" in head
 
     def test_subprocess_matches_inprocess(self):
-        # the installed entry point produces the same bytes
+        # the module entry point, run from the sources imported here,
+        # produces the same bytes
         want = (GOLDEN / "factorize_insert.txt").read_bytes()
+        src = pathlib.Path(ssetkit.__file__).resolve().parent.parent
+        path = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
             [sys.executable, "-m", "ssetkit.cli"] + self.CASES[2][2],
-            capture_output=True)
+            capture_output=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout == want
 
@@ -173,6 +179,16 @@ map g : A -> P
         code, out = run_cli(capsys, "realize", str(doc))
         assert code == 2
         assert out == ""
+
+    def test_invalid_cellpres_base_is_input_error(self, tmp_path, capsys):
+        doc = tmp_path / "ghost.cellpres"
+        doc.write_text("cellpres/1\nbase base\nsset/1\n\nobject base\n"
+                       "  dim 0: 0\n  dim 1: e\n  faces e: 0 ghost\n")
+        code = main(["realize", str(doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "base 'base' is not a valid simplicial set" in captured.err
 
 
 class TestParserReuse:

@@ -122,6 +122,17 @@ object BAD
         assert not validate(doc.objects["BAD"]).ok
 
 
+GHOST_BASE = """cellpres/1
+base base
+sset/1
+
+object base
+  dim 0: 0
+  dim 1: e
+  faces e: 0 ghost
+"""
+
+
 class TestCellpresFormat:
     def build(self):
         b = PresentationBuilder(horn(2, 1))
@@ -177,6 +188,13 @@ class TestCellpresFormat:
                               "  faces 12: 2 ghost\n\nobject horn2_1", 1)
         with pytest.raises(FormatError, match="lands in an invalid object"):
             parse_cellpres(broken)
+
+    def test_invalid_base_is_rejected(self):
+        # without stages no attaching map ever reaches the base
+        with pytest.raises(FormatError, match="line 2: base 'base' is not a "
+                                              "valid simplicial set: e: face "
+                                              "1 dangling reference"):
+            parse_cellpres(GHOST_BASE)
 
     def test_missing_base(self):
         with pytest.raises(FormatError, match="base"):
