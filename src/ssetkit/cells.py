@@ -6,6 +6,13 @@ horn presentation into a boundary presentation of twice the length.
 Stage indices play the role of presentation ordinals; only finitely many
 stages can occur here, which is all that maps from finite objects can see.
 
+A stage is the pushout of a coproduct of generators along the attaching
+maps.  Every generator is a monomorphism, so no general pushout is needed:
+the stage's nondegenerate simplices are those of the previous stage plus
+those of each standard cell outside its generator's source, and their
+faces are read off directly (Goerss-Jardine, Simplicial Homotopy Theory,
+I.1).  `StageData.induced` is the universal property of that pushout.
+
 Naming contract of `realize`: simplices of the base keep their names at
 every stage, and the cells attached at stage ordinal s (1-based) by the
 t-th attachment get names "c{s}_{t}_{w}" where w is the name of the
@@ -17,28 +24,18 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ssetkit.core import (
+    FiniteSimplicialSet,
     SimplexRef,
     SimplicialMap,
+    _name_inclusion,
     _vertex_name,
     boundary,
     compose,
     identity,
-    relabel,
     simplex,
 )
-from ssetkit.colimits import (
-    PushoutResult,
-    coproduct,
-    pushout,
-    pushout_induced,
-    sequential_colimit,
-)
+from ssetkit.colimits import sequential_colimit
 from ssetkit.lifting import generator
-
-
-def generator_source(kind, n, k=None):
-    """The source of the generator `lifting.generator(kind, n, k)`."""
-    return generator(kind, n, k).source
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,8 @@ class Attachment:
     attaching: SimplicialMap
 
     def __post_init__(self):
-        if self.attaching.source != generator_source(self.kind, self.n, self.k):
+        if self.attaching.source != generator(self.kind, self.n,
+                                              self.k).source:
             raise ValueError("attachment: attaching map source does not match "
                              f"the declared generator ({self.kind}, n={self.n})")
 
@@ -75,19 +73,40 @@ class CellPresentation:
 
 
 class StageData:
-    """Per-stage bookkeeping of a realization: the (renamed) pushout, one
-    characteristic map per attached cell, and the stage inclusion."""
+    """One closed stage: the inclusion of the previous stage, which keeps
+    every name, and one characteristic map per attached cell."""
 
-    def __init__(self, pushout_result, char_maps, inclusion):
-        self.pushout = pushout_result
+    def __init__(self, char_maps, inclusion):
         self.char_maps = list(char_maps)
         self.inclusion = inclusion
+
+    def induced(self, cell_maps, from_c):
+        """The unique map out of the stage that restricts to cell_maps[t]
+        along the t-th characteristic map and to from_c along the
+        inclusion.  Commutation of this cocone is a precondition and is
+        re-verified on the result."""
+        if (from_c.source != self.inclusion.source
+                or len(cell_maps) != len(self.char_maps)
+                or any(m.source != char.source
+                       for char, m in zip(self.char_maps, cell_maps))):
+            raise ValueError("induced: cocone does not match the stage")
+        images = {n: from_c.images[n] for n in from_c.source.names()}
+        for char, m in zip(self.char_maps, cell_maps):
+            for w, ref in char.images.items():
+                if ref.base not in images:
+                    images[ref.base] = m.images[w]
+        h = SimplicialMap(self.inclusion.target, from_c.target, images)
+        if compose(h, self.inclusion) != from_c or any(
+                compose(h, char) != m
+                for char, m in zip(self.char_maps, cell_maps)):
+            raise ValueError("induced: cocone does not commute")
+        return h
 
 
 class RealizeResult:
     """Realization of a presentation: the stage record (whose birth function
     assigns every cell its presentation ordinal), the base-to-final
-    composite, and per-stage pushout data."""
+    composite, and per-stage data."""
 
     def __init__(self, presentation, record, stage_data):
         self.presentation = presentation
@@ -102,70 +121,77 @@ class RealizeResult:
         return self.record.composite()
 
 
-def _realize_stage(current, attachments, ordinal):
-    """Attach one stage's worth of cells to `current` via a single pushout
-    of a coproduct, then rename the corner so that surviving simplices keep
-    their names and new cells get canonical "c{ordinal}_{t}_{w}" names."""
+def _attach(current, attachments, ordinal):
+    """Glue one stage's worth of cells onto `current`, each along its
+    generator's source.  Within each dimension, the positions of the
+    standard cells come first (by attachment, then in simplex order): a new
+    cell sits at its own position, a simplex of `current` at the least
+    position its attaching maps send onto it, and the rest of `current`
+    follows in its own order."""
     for t, att in enumerate(attachments):
         if att.attaching.target != current:
             raise ValueError(f"stage {ordinal}: attaching map {t} does not "
                              "land in the previous stage")
-    if not attachments:
-        return StageData(None, [], identity(current))
-
-    sources, src_injs = coproduct(
-        [generator_source(att.kind, att.n, att.k) for att in attachments])
-    targets, tgt_injs = coproduct(
-        [simplex(att.n) for att in attachments])
-    gen_map = SimplicialMap(sources, targets, {
-        src_injs[t].images[n].base: tgt_injs[t].images[n]
-        for t, att in enumerate(attachments)
-        for n in att.attaching.source.names()})
-    attach_map = SimplicialMap(sources, current, {
-        src_injs[t].images[n].base: att.attaching.images[n]
-        for t, att in enumerate(attachments)
-        for n in att.attaching.source.names()})
-    p = pushout(gen_map, attach_map)
-
-    renaming = {}
-    for name in p.corner.names():
-        froms_b, froms_c = p.provenance[name]
-        if froms_c:
-            renaming[name] = froms_c[0]
-        else:
-            t, _, w = froms_b[0].partition("_")
-            renaming[name] = f"c{ordinal}_{t[1:]}_{w}"
-    if len(set(renaming.values())) != len(renaming):
-        raise ValueError(f"stage {ordinal}: attached-cell names collide with "
-                         "existing simplices (rename the base away from "
-                         "'c<stage>_' prefixes)")
-    corner, iso = relabel(p.corner, renaming)
-    leg_b = compose(iso, p.leg_from_b)
-    leg_c = compose(iso, p.leg_from_c)
-    provenance = {renaming[n]: pr for n, pr in p.provenance.items()}
-    renamed = PushoutResult(corner, leg_b, leg_c, provenance)
-    chars = [compose(leg_b, tgt_injs[t]) for t in range(len(attachments))]
-    return StageData(renamed, chars, leg_c)
+    by_dim = {}
+    faces = {n: current.faces_of(n) for n in current.names()
+             if current.dim_of(n) >= 1}
+    position = {}
+    char_images = []
+    for t, att in enumerate(attachments):
+        cell = simplex(att.n)
+        source = att.attaching.source
+        images = {}
+        for d in range(att.n + 1):
+            for i, w in enumerate(cell.simplices(d)):
+                if source.has(w):
+                    ref = att.attaching.images[w]
+                    if not current.has(ref.base):
+                        raise ValueError(
+                            f"stage {ordinal}: attaching map {t} sends {w} "
+                            f"to {ref.base!r}, which is not a simplex of "
+                            "the previous stage")
+                else:
+                    ref = SimplexRef(f"c{ordinal}_{t}_{w}")
+                    if current.has(ref.base):
+                        raise ValueError(
+                            f"stage {ordinal}: attached-cell names collide "
+                            "with existing simplices (rename the base away "
+                            "from 'c<stage>_' prefixes)")
+                    by_dim.setdefault(d, []).append(ref.base)
+                    if d >= 1:
+                        faces[ref.base] = tuple(images[u.base]
+                                                for u in cell.faces_of(w))
+                if not ref.word:
+                    position.setdefault(ref.base, (t, i))
+                images[w] = ref
+        char_images.append(images)
+    for d in range(current.dim + 1):
+        for i, n in enumerate(current.simplices(d)):
+            position.setdefault(n, (len(attachments), i))
+            by_dim.setdefault(d, []).append(n)
+    stage = FiniteSimplicialSet(
+        {d: sorted(names, key=position.__getitem__)
+         for d, names in by_dim.items()}, faces)
+    chars = [SimplicialMap(simplex(att.n), stage, images)
+             for att, images in zip(attachments, char_images)]
+    return StageData(chars, _name_inclusion(current, stage))
 
 
 def realize(presentation):
     """Realize a presentation stagewise; raises when some attaching map does
     not land in its stage."""
-    current = presentation.base
-    data = []
-    for s, attachments in enumerate(presentation.stages):
-        stage = _realize_stage(current, attachments, s + 1)
-        data.append(stage)
-        current = stage.inclusion.target
-    record = sequential_colimit([d.inclusion for d in data],
-                                base=presentation.base)
-    return RealizeResult(presentation, record, data)
+    builder = PresentationBuilder(presentation.base)
+    for attachments in presentation.stages:
+        for att in attachments:
+            builder.attach(att.kind, att.n, att.k, att.attaching)
+        builder.close_stage()
+    return builder.realized()
 
 
 class PresentationBuilder:
     """Incremental construction of a presentation: queue attachments against
-    the current realized stage, then close the stage to advance.  The stage
-    data accumulated here is exactly what `realize` would recompute."""
+    the current realized stage, then close the stage to advance.  `realize`
+    runs one over a whole presentation."""
 
     def __init__(self, base):
         self.base = base
@@ -187,8 +213,8 @@ class PresentationBuilder:
         return self
 
     def close_stage(self):
-        stage = _realize_stage(self._current, tuple(self._pending),
-                               len(self._stages) + 1)
+        stage = _attach(self._current, tuple(self._pending),
+                        len(self._stages) + 1)
         self._stages.append(tuple(self._pending))
         self._pending = []
         self.stage_data.append(stage)
@@ -301,18 +327,11 @@ def j_to_i_presentation(presentation):
                                att, horn_to_mid, stage_a.char_maps[t]))
         stage_b = builder.close_stage()
 
-        # transport the isomorphism across this stage's pushout: the new
-        # cells of the horn stage go to the corresponding boundary cells
-        p = j_res.stage_data[s].pushout
-        from_c = compose(stage_b.inclusion, compose(inc_a, h))
-        cells = p.leg_from_b.source
-        images = {}
-        for t, att in enumerate(attachments):
-            char_b = stage_b.char_maps[t]
-            for w in simplex(att.n).names():
-                images[f"i{t}_{w}"] = char_b.images[w]
-        from_b = SimplicialMap(cells, stage_b.inclusion.target, images)
-        h = pushout_induced(p, from_b, from_c)
+        # transport the isomorphism across this stage: the new cells of the
+        # horn stage go to the corresponding boundary cells
+        h = j_res.stage_data[s].induced(
+            stage_b.char_maps,
+            compose(stage_b.inclusion, compose(inc_a, h)))
 
     converted = builder.presentation()
     _check_iso(h)

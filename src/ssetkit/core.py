@@ -602,7 +602,7 @@ def enumerate_maps(a, x):
 
 
 # ---------------------------------------------------------------------------
-# Subcomplexes and relabeling
+# Subcomplexes
 
 def minimal_subcomplex(s, seed):
     """Smallest face-closed subobject of `s` containing the named seed
@@ -624,20 +624,3 @@ def minimal_subcomplex(s, seed):
     faces = {n: s.faces_of(n) for n in keep if s.dim_of(n) >= 1}
     sub = FiniteSimplicialSet(by_dim, faces)
     return sub, _name_inclusion(sub, s)
-
-
-def relabel(s, renaming):
-    """Rename the nondegenerate simplices of `s` via the bijection `renaming`
-    (old name -> new name); returns the renamed object and the isomorphism
-    from `s` onto it."""
-    if len(set(renaming.values())) != len(renaming):
-        raise ValueError("relabel: renaming is not injective")
-    by_dim = {d: [renaming[n] for n in s.simplices(d)]
-              for d in range(s.dim + 1)}
-    faces = {renaming[n]: tuple(SimplexRef(renaming[r.base], r.word)
-                                for r in s.faces_of(n))
-             for n in s.names() if s.dim_of(n) >= 1}
-    out = FiniteSimplicialSet(by_dim, faces)
-    iso = SimplicialMap(s, out, {n: SimplexRef(renaming[n])
-                                 for n in s.names()})
-    return out, iso

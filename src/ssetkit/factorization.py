@@ -4,7 +4,8 @@ small object argument at desk scale.
 Each round enumerates every commuting square from a generator into the
 current factor, attaches one cell per square needing attention (all squares
 in faithful mode, only unlifted squares in reduced mode), and extends the
-projection through the pushout.  Faithful mode reproduces the classical
+projection to the new stage by sending each cell along its square's bottom
+map (`StageData.induced`).  Faithful mode reproduces the classical
 construction exactly and is the mode under which the construction is
 functorial; it rarely terminates, so it is used with small stage budgets.
 Reduced mode attaches only what is needed and converges on many desk-scale
@@ -12,8 +13,7 @@ inputs; a converged run certifies the right factor's lifting property
 directly.
 """
 
-from ssetkit.core import SimplicialMap, compose, simplex
-from ssetkit.colimits import pushout_induced
+from ssetkit.core import compose
 from ssetkit.cells import PresentationBuilder
 from ssetkit.lifting import (
     Lift,
@@ -124,14 +124,7 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
         stage = builder.close_stage()
         stages.append(FactorStage(w_k, p_k, squares, pending))
 
-        cells = stage.pushout.leg_from_b.source
-        images = {}
-        for t, idx in enumerate(pending):
-            label, sq = squares[idx]
-            for w in simplex(label[1]).names():
-                images[f"i{t}_{w}"] = sq.bottom.images[w]
-        from_b = SimplicialMap(cells, f.target, images)
-        p_k = pushout_induced(stage.pushout, from_b, p_k)
+        p_k = stage.induced([squares[idx][1].bottom for idx in pending], p_k)
         rounds += 1
 
     realization = builder.realized()
@@ -274,20 +267,15 @@ def induced_factorization_map(u, v, r, r2):
         lookup = {}
         for t2, (label2, sq2) in enumerate(r2.stages[k].squares):
             lookup[(label2, sq2.top, sq2.bottom)] = t2
-        cells = stage.pushout.leg_from_b.source
-        images = {}
-        for t, (label, sq) in enumerate(r.stages[k].squares):
+        cell_maps = []
+        for label, sq in r.stages[k].squares:
             key = (label, compose(h, sq.top), compose(v, sq.bottom))
             t2 = lookup.get(key)
             if t2 is None:
                 raise RuntimeError("induced_factorization_map: composed "
                                    "square has no cell in the second run")
-            char2 = stage2.char_maps[t2]
-            for w in simplex(label[1]).names():
-                images[f"i{t}_{w}"] = char2.images[w]
-        from_b = SimplicialMap(cells, stage2.inclusion.target, images)
-        from_c = compose(stage2.inclusion, h)
-        h = pushout_induced(stage.pushout, from_b, from_c)
+            cell_maps.append(stage2.char_maps[t2])
+        h = stage.induced(cell_maps, compose(stage2.inclusion, h))
         maps.append(h)
 
     _check_stagewise(maps, v, r, r2)

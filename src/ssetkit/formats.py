@@ -43,9 +43,9 @@ from ssetkit.core import (
 from ssetkit.cells import (
     Attachment,
     CellPresentation,
-    generator_source,
     realize,
 )
+from ssetkit.lifting import generator
 
 NAME_RE = r"[A-Za-z0-9_.]+"
 _REF_RE = re.compile(rf"^(?:s\[(\d+(?:,\d+)*)\]·)?({NAME_RE})$")
@@ -261,7 +261,7 @@ def print_cellpres(pres, base_name="base"):
         for t, att in enumerate(attachments):
             gen_obj = _generator_name(att.kind, att.n, att.k)
             doc.objects.setdefault(gen_obj,
-                                   generator_source(att.kind, att.n, att.k))
+                                   generator(att.kind, att.n, att.k).source)
             map_name = f"attach{s}_{t}"
             attach_entries.append((s, att, map_name, gen_obj))
             k_part = f" k={att.k}" if att.kind == "J" else ""
@@ -325,7 +325,7 @@ def parse_cellpres(text):
         if kind == "I" and k is not None:
             raise FormatError(no, "boundary attachment takes no k=")
         attaching = doc.map(map_name, no)
-        if attaching.source != generator_source(kind, n, k):
+        if attaching.source != generator(kind, n, k).source:
             raise FormatError(no, f"map {map_name!r} does not start at the "
                               f"declared generator source")
         # realize checks that the target is the stage attached to; the

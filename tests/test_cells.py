@@ -83,6 +83,14 @@ class TestRealize:
         with pytest.raises(ValueError, match="stage 1"):
             realize(pres)
 
+    def test_attaching_image_outside_the_stage(self):
+        b = PresentationBuilder(simplex(0))
+        b.attach("I", 1, attaching=SimplicialMap(
+            boundary(1), b.current,
+            {"0": SimplexRef("0"), "1": SimplexRef("zz")}))
+        with pytest.raises(ValueError, match="'zz', which is not a simplex"):
+            b.close_stage()
+
     def test_realize_matches_builder(self):
         b = build_circle()
         pres = b.presentation()
@@ -179,6 +187,12 @@ class TestJToI:
         pres = CellPresentation(simplex(0), ())
         converted, iso = j_to_i_presentation(pres)
         assert converted.attachment_count() == 0
+        assert iso == identity(simplex(0))
+
+    def test_stage_without_cells(self):
+        pres = CellPresentation(simplex(0), ((),))
+        converted, iso = j_to_i_presentation(pres)
+        assert converted.stages == ((), ())
         assert iso == identity(simplex(0))
 
     def test_two_parallel_horns(self):

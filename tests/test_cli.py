@@ -19,8 +19,8 @@ def run_cli(capsys, *argv):
 
 
 class TestGolden:
-    """The three reference invocations: byte-identical reports and stable
-    exit codes, twice each."""
+    """The reference invocations: byte-identical reports and stable exit
+    codes, twice each."""
 
     CASES = [
         ("lift_identity.txt", 0,
@@ -34,6 +34,14 @@ class TestGolden:
          ["factorize", str(DATA / "factorize_insert.sset"),
           "--map", "insert", "--gen", "I", "--mode", "reduced",
           "--budget", "5"]),
+        ("realize_circle.txt", 0,
+         ["realize", str(DATA / "circle.cellpres")]),
+        ("realize_horn_fill.txt", 0,
+         ["realize", str(DATA / "horn_fill.cellpres")]),
+        ("j2i_horn_fill.txt", 0,
+         ["j2i", str(DATA / "horn_fill.cellpres")]),
+        ("factor_stage_circle.txt", 0,
+         ["factor-stage", str(DATA / "circle.cellpres"), "--map", "probe"]),
     ]
 
     @pytest.mark.parametrize("golden,expected_code,argv",
@@ -189,6 +197,22 @@ map g : A -> P
         assert code == 2
         assert captured.out == ""
         assert "base 'base' is not a valid simplicial set" in captured.err
+
+
+    def test_cell_name_collision_is_input_error(self, tmp_path, capsys):
+        # the base already has a simplex named like stage 1's first cell
+        doc = tmp_path / "collide.cellpres"
+        doc.write_text("cellpres/1\nbase base\n"
+                       "stage=1 gen=I n=1 attach=attach1_0\nsset/1\n\n"
+                       "object base\n  dim 0: c1_0_01\n\n"
+                       "object boundary1\n  dim 0: 0 1\n\n"
+                       "map attach1_0 : boundary1 -> base\n"
+                       "  0 -> c1_0_01\n  1 -> c1_0_01\n")
+        code = main(["realize", str(doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "attached-cell names collide" in captured.err
 
 
 class TestParserReuse:

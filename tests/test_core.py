@@ -18,7 +18,6 @@ from ssetkit.core import (
     is_map,
     map_errors,
     minimal_subcomplex,
-    relabel,
     simplex,
     validate,
 )
@@ -310,16 +309,6 @@ class TestMinimalSubcomplex:
     def test_unknown_seed(self):
         with pytest.raises(KeyError):
             minimal_subcomplex(simplex(1), ["zz"])
-
-
-class TestRelabel:
-    def test_roundtrip(self):
-        s = boundary(2)
-        ren = {n: "x" + n for n in s.names()}
-        out, iso = relabel(s, ren)
-        assert validate(out).ok
-        assert is_map(iso)
-        assert out.size() == s.size()
 
 
 class TestMapErrors:
