@@ -32,6 +32,7 @@ from ssetkit.core import (
     boundary,
     compose,
     identity,
+    map_errors,
     simplex,
 )
 from ssetkit.colimits import sequential_colimit
@@ -42,7 +43,7 @@ from ssetkit.lifting import generator
 class Attachment:
     """One cell attachment: a generator (boundary inclusion for kind "I",
     horn inclusion for kind "J") plus the attaching map of its source into
-    the current stage."""
+    the current stage, which must be a simplicial map (`map_errors`)."""
 
     kind: str
     n: int
@@ -54,6 +55,10 @@ class Attachment:
                                               self.k).source:
             raise ValueError("attachment: attaching map source does not match "
                              f"the declared generator ({self.kind}, n={self.n})")
+        errors = map_errors(self.attaching)
+        if errors:
+            raise ValueError("attachment: attaching map is not simplicial: "
+                             + "; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -179,12 +184,11 @@ def _attach(current, attachments, ordinal):
 
 def realize(presentation):
     """Realize a presentation stagewise; raises when some attaching map does
-    not land in its stage."""
+    not land in its stage.  Its attachments were checked when they were
+    made, so they are glued on as they are."""
     builder = PresentationBuilder(presentation.base)
     for attachments in presentation.stages:
-        for att in attachments:
-            builder.attach(att.kind, att.n, att.k, att.attaching)
-        builder.close_stage()
+        builder._close(tuple(attachments))
     return builder.realized()
 
 
@@ -209,13 +213,17 @@ class PresentationBuilder:
     def attach(self, kind, n, k=None, attaching=None):
         if attaching is None:
             raise ValueError("attach: an attaching map is required")
-        self._pending.append(Attachment(kind, n, k, attaching))
+        self._pending.append((kind, n, k, attaching))
         return self
 
     def close_stage(self):
-        stage = _attach(self._current, tuple(self._pending),
-                        len(self._stages) + 1)
-        self._stages.append(tuple(self._pending))
+        """Check the queued attachments (`Attachment`) and glue them on."""
+        return self._close(tuple(Attachment(*args)
+                                 for args in self._pending))
+
+    def _close(self, attachments):
+        stage = _attach(self._current, attachments, len(self._stages) + 1)
+        self._stages.append(attachments)
         self._pending = []
         self.stage_data.append(stage)
         self._current = stage.inclusion.target
@@ -305,11 +313,16 @@ def j_to_i_presentation(presentation):
 
     Returns the converted presentation together with the isomorphism from
     the realization of the input onto the realization of the output, over
-    the common base.  Raises on mixed-kind input."""
+    the common base.  Raises on mixed-kind input.  A `RealizeResult` may
+    stand in for its presentation, and is not realized again."""
+    j_res = None
+    if isinstance(presentation, RealizeResult):
+        j_res, presentation = presentation, presentation.presentation
     if presentation.kinds() - {"J"}:
         raise ValueError("j_to_i_presentation: presentation has non-horn "
                          "attachments")
-    j_res = realize(presentation)
+    if j_res is None:
+        j_res = realize(presentation)
     builder = PresentationBuilder(presentation.base)
     h = identity(presentation.base)
 

@@ -11,13 +11,13 @@ import functools
 import sys
 
 from ssetkit import core
-from ssetkit.cells import factor_through_stage, j_to_i_presentation, realize
+from ssetkit.cells import factor_through_stage, j_to_i_presentation
 from ssetkit.colimits import pushout
 from ssetkit.factorization import factorize, induced_factorization_map
 from ssetkit.formats import (
     Document,
     FormatError,
-    parse_cellpres,
+    _parse_cellpres,
     parse_document,
     print_cellpres,
     print_document,
@@ -47,8 +47,9 @@ def _load_document(path):
 
 
 def _load_cellpres(path):
+    """The presentation, its document and its realization."""
     try:
-        return parse_cellpres(_read(path))
+        return _parse_cellpres(_read(path))
     except FormatError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -191,8 +192,7 @@ def _cmd_rlp(args):
 
 
 def _cmd_realize(args):
-    pres, _ = _load_cellpres(args.file)
-    res = realize(pres)
+    pres, _, res = _load_cellpres(args.file)
     out = [f"realize: stages={len(pres.stages)} "
            f"cells={pres.attachment_count()} "
            f"final_size={res.final.size()}"]
@@ -206,9 +206,8 @@ def _cmd_realize(args):
 
 
 def _cmd_factor_stage(args):
-    pres, doc = _load_cellpres(args.file)
+    _, doc, res = _load_cellpres(args.file)
     m = _require_map(doc, args.map)
-    res = realize(pres)
     if m.target != res.final:
         raise InputError(f"map {args.map!r} does not land in the final stage")
     k, factored = factor_through_stage(res, m)
@@ -222,9 +221,9 @@ def _cmd_factor_stage(args):
 
 
 def _cmd_j2i(args):
-    pres, _ = _load_cellpres(args.file)
+    pres, _, res = _load_cellpres(args.file)
     try:
-        converted, _iso = j_to_i_presentation(pres)
+        converted, _iso = j_to_i_presentation(res)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     out = [f"j2i: attachments {pres.attachment_count()} -> "
@@ -246,6 +245,10 @@ def _cmd_functorial(args):
     f2 = _require_map(doc, args.map2)
     u = _require_map(doc, args.top)
     v = _require_map(doc, args.bottom)
+    if (u.source, u.target, v.source, v.target) != \
+            (f.source, f2.source, f.target, f2.target):
+        raise InputError("the square (top, bottom) does not fit the two "
+                         "maps")
     if core.compose(v, f) != core.compose(f2, u):
         raise InputError("the square (top, bottom) does not commute with the "
                          "two maps")

@@ -364,13 +364,16 @@ def validate(s):
     face_i . face_j = face_{j-1} . face_i for i < j."""
     issues = []
     seen = {}
+    duplicated = set()
     for d in range(s.dim + 1):
         for name in s.simplices(d):
             if name in seen:
                 issues.append(f"duplicate simplex name {name!r} "
                               f"(dims {seen[name]} and {d})")
+                duplicated.add(name)
             seen[name] = d
-    structurally_ok = set(s.simplices(0))
+    # a duplicated name has no one dimension and face list to check
+    structurally_ok = set(s.simplices(0)) - duplicated
     for d in range(1, s.dim + 1):
         for name in s.simplices(d):
             refs = s._faces.get(name)
@@ -395,11 +398,11 @@ def validate(s):
                     issues.append(f"{name}: face {i} degeneracy word "
                                   f"{r.word} is not in normal form")
                     ok = False
-            if ok:
+            if ok and name not in duplicated:
                 structurally_ok.add(name)
     # identities are only evaluated where every iterated face is intact,
     # so the operator action below cannot hit missing structure
-    hereditary = set(s.simplices(0))
+    hereditary = set(s.simplices(0)) - duplicated
     for d in range(1, s.dim + 1):
         for name in s.simplices(d):
             if name in structurally_ok and \

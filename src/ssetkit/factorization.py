@@ -11,6 +11,17 @@ functorial; it rarely terminates, so it is used with small stage budgets.
 Reduced mode attaches only what is needed and converges on many desk-scale
 inputs; a converged run certifies the right factor's lifting property
 directly.
+
+Rounds are semi-naive: a square at round k >= 1 whose top lies in the
+stage the previous round ran against (a name-set test, since stages keep
+their names) restricts to a square of that round, which was lifted or got
+a cell, so it is not searched again.  Each round records one witness per
+square, a diagonal: the lift found, the one carried over, or the
+characteristic map of the cell attached for it.  The verifier checks each
+witness with `verify_lift` instead of searching, and enumerates and solves
+the final squares once, for the residual, the early-top and the full
+lifting-property checks together (the certifying-algorithm pattern: the
+checker checks certificates and never trusts the producer's verdicts).
 """
 
 from ssetkit.core import compose
@@ -18,23 +29,32 @@ from ssetkit.cells import PresentationBuilder
 from ssetkit.lifting import (
     Lift,
     LiftingProblem,
-    check_rlp,
+    _commuting,
     enumerate_squares,
     generator_family,
     solve_lift,
+    verify_lift,
 )
 
 
 class FactorStage:
     """One enumeration round: the object and projection it ran against, the
-    squares found (in canonical (generator, top, bottom) order), and the
-    indices of those that received a cell."""
+    squares found (in canonical (generator, top, bottom) order), the
+    indices of those that received a cell, and one witness per square.
 
-    def __init__(self, w, p, squares, attached):
+    A witness is a diagonal for its square, or None for a square left
+    unlifted.  After a round that attached cells it lands in the next
+    stage and solves the square with its top pushed along the inclusion;
+    at the last round it lands in this stage.  A stage built without
+    witnesses has all of them None."""
+
+    def __init__(self, w, p, squares, attached, witnesses=None):
         self.w = w
         self.p = p
         self.squares = squares
         self.attached = list(attached)
+        self.witnesses = (list(witnesses) if witnesses is not None
+                          else [None] * len(squares))
 
 
 class FactorizationResult:
@@ -76,6 +96,34 @@ def _attach_label(kind, label):
     return n, k
 
 
+def _key(m):
+    return tuple(m.images[n] for n in m.source.names())
+
+
+def _early(sq, stage):
+    """Whether the square's top lies in the stage `stage` ran against."""
+    return all(stage.w.has(ref.base) for ref in sq.top.images.values())
+
+
+def _diagonals(squares, prev):
+    """A diagonal for each square, or None where none exists.  A square
+    whose top lies in the stage of the previous round `prev` takes that
+    round's witness; the rest are searched."""
+    carried = None
+    out = []
+    for label, sq in squares:
+        if prev is not None and _early(sq, prev):
+            if carried is None:
+                carried = {(lb, _key(old.top), _key(old.bottom)): w
+                           for (lb, old), w in zip(prev.squares,
+                                                   prev.witnesses)}
+            out.append(carried[(label, _key(sq.top), _key(sq.bottom))])
+        else:
+            found = solve_lift(sq)
+            out.append(found.diagonal if isinstance(found, Lift) else None)
+    return out
+
+
 def factorize(f, kind, cap=3, mode="reduced", budget=5):
     """Factor f: X -> Y as (relative cell complex) followed by (map with the
     right lifting property against the capped generators), by iterated
@@ -91,30 +139,26 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
     builder = PresentationBuilder(f.source)
     p_k = f
     stages = []
-    rounds = 0
-    converged = False
     residual = []
 
     while True:
         w_k = builder.current
         squares = [(label, sq) for label, gen in gens
                    for sq in enumerate_squares(gen, p_k)]
-        if mode == "faithful":
-            pending = list(range(len(squares)))
+        last = len(stages) >= budget
+        if mode == "faithful" and squares and not last:
+            # every square gets a cell, which is its witness
+            diagonals = [None] * len(squares)
         else:
-            pending = [idx for idx, (_, sq) in enumerate(squares)
-                       if not isinstance(solve_lift(sq), Lift)]
-        if not pending:
-            stages.append(FactorStage(w_k, p_k, squares, []))
-            converged = True
-            break
-        if rounds >= budget:
-            stages.append(FactorStage(w_k, p_k, squares, []))
-            if mode == "reduced":
-                residual = [squares[idx] for idx in pending]
-            else:
-                residual = [(label, sq) for label, sq in squares
-                            if not isinstance(solve_lift(sq), Lift)]
+            diagonals = _diagonals(squares, stages[-1] if stages else None)
+        unlifted = [idx for idx, d in enumerate(diagonals) if d is None]
+        pending = (list(range(len(squares))) if mode == "faithful"
+                   else unlifted)
+        if not pending or last:
+            stages.append(FactorStage(w_k, p_k, squares, [], diagonals))
+            converged = not pending
+            if not converged:
+                residual = [squares[idx] for idx in unlifted]
             break
 
         for idx in pending:
@@ -122,10 +166,12 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
             n, kk = _attach_label(kind, label)
             builder.attach(kind, n, kk, attaching=sq.top)
         stage = builder.close_stage()
-        stages.append(FactorStage(w_k, p_k, squares, pending))
-
+        witnesses = [d if d is None else compose(stage.inclusion, d)
+                     for d in diagonals]
+        for idx, char in zip(pending, stage.char_maps):
+            witnesses[idx] = char
+        stages.append(FactorStage(w_k, p_k, squares, pending, witnesses))
         p_k = stage.induced([squares[idx][1].bottom for idx in pending], p_k)
-        rounds += 1
 
     realization = builder.realized()
     return FactorizationResult(
@@ -150,20 +196,58 @@ class VerificationReport:
         return "all checks passed" if self.ok else "\n".join(self.issues)
 
 
+def _is_lift(problem, w):
+    return (w is not None and w.source == problem.left.target
+            and w.target == problem.right.source and verify_lift(problem, w))
+
+
+def _stage_checks(result):
+    """Every square enumerated at a stage that was followed by an
+    attachment round must lift through the next stage.  Returns the
+    (stage, square index) pairs whose witness is not such a lift, and
+    those that do not lift at all: a square with no witness, or a wrong
+    one, is searched."""
+    wrong, failures = [], []
+    for k in range(len(result.stages) - 1):
+        inc = result.realization.stage_data[k].inclusion
+        next_p = result.stages[k + 1].p
+        stage = result.stages[k]
+        for idx, (label, sq) in enumerate(stage.squares):
+            top = compose(inc, sq.top)
+            w = (stage.witnesses[idx] if idx < len(stage.witnesses)
+                 else None)
+            # a lift makes the square commute, so it needs no check
+            if _is_lift(_commuting(sq.left, next_p, top, sq.bottom), w):
+                continue
+            if w is not None:
+                wrong.append((k, idx))
+            through = LiftingProblem(sq.left, next_p, top, sq.bottom)
+            if not isinstance(solve_lift(through), Lift):
+                failures.append((k, idx))
+    return wrong, failures
+
+
 def stage_solvability_failures(result):
     """The heart of the construction: every square enumerated at a stage
     that was followed by an attachment round must lift through the next
     stage.  Returns the (stage, square index) pairs where this fails."""
-    failures = []
-    for k in range(len(result.stages) - 1):
-        inc = result.realization.stage_data[k].inclusion
-        next_p = result.stages[k + 1].p
-        for idx, (label, sq) in enumerate(result.stages[k].squares):
-            through = LiftingProblem(sq.left, next_p,
-                                     compose(inc, sq.top), sq.bottom)
-            if not isinstance(solve_lift(through), Lift):
-                failures.append((k, idx))
-    return failures
+    return _stage_checks(result)[1]
+
+
+def _final_pass(result):
+    """The squares against the right factor, each with whether it lifts:
+    the one enumeration and solve the residual, early-top and lifting
+    property checks read."""
+    return [(label, sq, isinstance(solve_lift(sq), Lift))
+            for label, gen in generator_family(result.kind, result.cap)
+            for sq in enumerate_squares(gen, result.right)]
+
+
+def _early_top(result, final):
+    if len(result.stages) < 2:
+        return []
+    return [idx for idx, (_, sq, solved) in enumerate(final)
+            if not solved and _early(sq, result.stages[-2])]
 
 
 def early_top_failures(result):
@@ -171,24 +255,17 @@ def early_top_failures(result):
     below the last attachment round must be solvable: their restriction was
     enumerated back then and a cell (or an existing lift) covers it.  This is
     the finiteness step that lets capped runs certify anything at all."""
-    from ssetkit.cells import factor_through_stage
-
-    record = result.realization.record
-    failures = []
-    for idx, (_, sq) in enumerate(result.stages[-1].squares):
-        born, _ = factor_through_stage(record, sq.top)
-        if born < result.stages_run - 1 and \
-                not isinstance(solve_lift(sq), Lift):
-            failures.append(idx)
-    return failures
+    return _early_top(result, _final_pass(result))
 
 
 def verify_factorization(result):
     """Re-check a factorization from scratch: composite equality, agreement
     of the recorded presentation with the left factor, residual accuracy,
-    stage solvability, the early-top solvability of the final stage, and
-    (when the residual is empty) the full lifting property of the right
-    factor at the run's cap."""
+    the witness and solvability of every square of every stage, the
+    early-top solvability of the final stage, and (when the residual is
+    empty) the full lifting property of the right factor at the run's cap.
+    The last three read one fresh solve of the final squares, which are
+    the squares `check_rlp` would enumerate."""
     from ssetkit.cells import realize
 
     issues = []
@@ -208,23 +285,24 @@ def verify_factorization(result):
                 issues.append(f"stage {k}: faithful mode must attach one "
                               "cell per square")
 
-    final_squares = [(label, sq) for label, gen in
-                     generator_family(r.kind, r.cap)
-                     for sq in enumerate_squares(gen, r.right)]
-    unsolved = [(label, sq) for label, sq in final_squares
-                if not isinstance(solve_lift(sq), Lift)]
+    final = _final_pass(r)
+    unsolved = [(label, sq) for label, sq, solved in final if not solved]
     if unsolved != list(r.residual):
         issues.append("residual: recorded residual does not match re-solve")
 
-    for k, idx in stage_solvability_failures(r):
+    wrong, failures = _stage_checks(r)
+    for k, idx in wrong:
+        issues.append(f"stage {k}: square #{idx} has a witness that is not "
+                      "a lift through the next stage")
+    for k, idx in failures:
         issues.append(f"stage {k}: square #{idx} does not lift through the "
                       "next stage")
 
-    for idx in early_top_failures(r):
+    for idx in _early_top(r, final):
         issues.append(f"final stage: square #{idx} has an early-born top "
                       "but no lift")
 
-    if not r.residual and not check_rlp(r.right, r.kind, r.cap).passed:
+    if not r.residual and unsolved:
         issues.append("rlp: converged run's right factor fails check_rlp")
     return VerificationReport(issues)
 

@@ -37,7 +37,6 @@ from ssetkit.core import (
     FiniteSimplicialSet,
     SimplexRef,
     SimplicialMap,
-    map_errors,
     validate,
 )
 from ssetkit.cells import (
@@ -276,8 +275,14 @@ def print_cellpres(pres, base_name="base"):
 
 def parse_cellpres(text):
     """Parse cellpres/1; the base is checked with `validate`, attaching
-    maps with `map_errors`, and stage objects named stage1..stageK are
-    verified against the recomputed realization."""
+    maps with `map_errors` (by `Attachment`), and stage objects named
+    stage1..stageK are verified against the recomputed realization."""
+    pres, doc, _ = _parse_cellpres(text)
+    return pres, doc
+
+
+def _parse_cellpres(text):
+    """`parse_cellpres`, also returning the realization it computed."""
     lines = list(_strip(enumerate(text.splitlines(), start=1)))
     if not lines or lines[0][1] != "cellpres/1":
         raise FormatError(lines[0][0] if lines else 1,
@@ -328,22 +333,19 @@ def parse_cellpres(text):
         if attaching.source != generator(kind, n, k).source:
             raise FormatError(no, f"map {map_name!r} does not start at the "
                               f"declared generator source")
-        # realize checks that the target is the stage attached to; the
-        # map itself must be simplicial, into a valid object
+        # realize checks that the target is the stage attached to, and
+        # Attachment that the map is simplicial, into a valid object
         target = attaching.target
         if target not in valid:
             valid[target] = validate(target).ok
         if not valid[target]:
             raise FormatError(no, f"map {map_name!r} lands in an invalid "
                               "object")
-        errors = map_errors(attaching)
-        if errors:
-            raise FormatError(no, f"map {map_name!r} is not simplicial: "
-                              + "; ".join(errors))
         try:
             stages[-1].append(Attachment(kind, n, k, attaching))
         except ValueError as exc:
-            raise FormatError(no, str(exc)) from exc
+            raise FormatError(no, str(exc).replace(
+                "attachment: attaching map", f"map {map_name!r}")) from exc
     # an attaching map into the base has checked it already
     if base not in valid:
         report = validate(base)
@@ -361,7 +363,7 @@ def parse_cellpres(text):
         if declared is not None and declared != res.record.objects[s]:
             raise FormatError(1, f"declared stage{s} does not match the "
                               "recomputed realization")
-    return pres, doc
+    return pres, doc, res
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Lifts and squares come from the indexed search `core.extensions`.
 map and lying over the bottom map: the lexicographically least diagonal.
 When there is none, the exhausted search is the certificate, counted in
 refuted candidates.  `enumerate_squares` takes, for each top A -> X, the
-extensions B -> Y pinned on i(A) by f . top: the bottoms closing a square.
+extensions B -> Y pinned on i(A) by f . top: the bottoms closing a square,
+searched once per distinct f . top.
 """
 
 from dataclasses import dataclass, field
@@ -96,14 +97,36 @@ def solve_lift(problem):
         return NoLift(done.value)
 
 
+def _commuting(i, f, top, bottom):
+    """The square (i, f, top, bottom) without the checks of
+    `LiftingProblem`, for a caller that has made them."""
+    square = object.__new__(LiftingProblem)
+    for name, value in zip(("left", "right", "top", "bottom"),
+                           (i, f, top, bottom)):
+        object.__setattr__(square, name, value)
+    return square
+
+
 def enumerate_squares(i, f):
     """All commuting squares with left leg i and right leg f, ordered by
-    (top index, bottom index) in the hom-set enumerations."""
+    (top index, bottom index) in the hom-set enumerations.  The bottoms
+    depend on a top only through f . top, so they are searched, and checked
+    to commute, once per distinct f . top."""
     out = []
+    bottoms = {}
+    names = tuple(i.source.names())
     for top in enumerate_maps(i.source, f.source):
-        wants = {name: f(ref) for name, ref in top.images.items()}
-        for bottom in extensions(i.target, f.target, _pins(i, wants)):
-            out.append(LiftingProblem(i, f, top, bottom))
+        wants = compose(f, top)
+        key = tuple(wants.images[name] for name in names)
+        found = bottoms.get(key)
+        if found is None:
+            found = bottoms[key] = tuple(
+                extensions(i.target, f.target, _pins(i, wants.images)))
+            for bottom in found:
+                if compose(bottom, i) != wants:
+                    raise ValueError("lifting problem: square does not "
+                                     "commute")
+        out.extend(_commuting(i, f, top, bottom) for bottom in found)
     return out
 
 

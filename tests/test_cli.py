@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import ssetkit
+from ssetkit import cells
 from ssetkit.cli import _build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -247,6 +248,28 @@ class TestParserReuse:
         assert _build_parser.cache_info().misses == 1
         assert in_a_row == fresh
         assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 1, 0]
+
+
+class TestRealizeOnce:
+    """realize, factor-stage and j2i use the realization that parsing the
+    presentation computed; j2i realizes only the converted presentation,
+    to print it."""
+
+    @pytest.mark.parametrize("argv,closings", [
+        (["realize", str(DATA / "horn_fill.cellpres")], 1),
+        (["factor-stage", str(DATA / "circle.cellpres"), "--map", "probe"],
+         1),
+        (["j2i", str(DATA / "horn_fill.cellpres")], 2),
+    ], ids=["realize", "factor-stage", "j2i"])
+    def test_one_realization_per_presentation(self, monkeypatch, capsys,
+                                              argv, closings):
+        realized = []
+        real = cells.PresentationBuilder.realized
+        monkeypatch.setattr(cells.PresentationBuilder, "realized",
+                            lambda self: realized.append(self) or real(self))
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(realized) == closings
 
 
 class TestOtherCommands:
