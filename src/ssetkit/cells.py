@@ -20,7 +20,7 @@ corresponding simplex of the standard cell being glued in.  Base objects
 must not already use such names.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from ssetkit.core import (
@@ -65,10 +65,24 @@ class Attachment:
 class CellPresentation:
     """A base object plus an ordered list of stages, each a tuple of
     attachments whose attaching maps land in the realization of all strictly
-    earlier stages."""
+    earlier stages.
+
+    A presentation carries its realization: `PresentationBuilder.realized`
+    fills it in, and any other presentation is glued once, on first use.
+    Only the stage record and stage data are kept, so the presentation and
+    the `RealizeResult` built from them do not refer to each other."""
 
     base: object
     stages: tuple
+    _realized: tuple = field(default=None, init=False, repr=False,
+                             compare=False)
+
+    @property
+    def realization(self):
+        if self._realized is None:
+            object.__setattr__(self, "_realized",
+                               realize(self).presentation._realized)
+        return RealizeResult(self, *self._realized)
 
     def attachment_count(self):
         return sum(len(stage) for stage in self.stages)
@@ -235,10 +249,13 @@ class PresentationBuilder:
         return CellPresentation(self.base, tuple(self._stages))
 
     def realized(self):
+        """The presentation built so far, carrying its realization."""
         pres = self.presentation()
         record = sequential_colimit([d.inclusion for d in self.stage_data],
                                     base=self.base)
-        return RealizeResult(pres, record, self.stage_data)
+        object.__setattr__(pres, "_realized",
+                           (record, tuple(self.stage_data)))
+        return pres.realization
 
 
 def factor_through_stage(realized, m):
@@ -311,18 +328,13 @@ def j_to_i_presentation(presentation):
     its entire boundary).  Each stage splits in two, so the attachment count
     exactly doubles.
 
-    Returns the converted presentation together with the isomorphism from
-    the realization of the input onto the realization of the output, over
-    the common base.  Raises on mixed-kind input.  A `RealizeResult` may
-    stand in for its presentation, and is not realized again."""
-    j_res = None
-    if isinstance(presentation, RealizeResult):
-        j_res, presentation = presentation, presentation.presentation
+    Returns the converted presentation, carrying its realization, together
+    with the isomorphism from the realization of the input onto that of the
+    output, over the common base.  Raises on mixed-kind input."""
     if presentation.kinds() - {"J"}:
         raise ValueError("j_to_i_presentation: presentation has non-horn "
                          "attachments")
-    if j_res is None:
-        j_res = realize(presentation)
+    j_res = presentation.realization
     builder = PresentationBuilder(presentation.base)
     h = identity(presentation.base)
 
@@ -346,7 +358,7 @@ def j_to_i_presentation(presentation):
             stage_b.char_maps,
             compose(stage_b.inclusion, compose(inc_a, h)))
 
-    converted = builder.presentation()
+    converted = builder.realized().presentation
     _check_iso(h)
     return converted, h
 

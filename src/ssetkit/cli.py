@@ -17,7 +17,7 @@ from ssetkit.factorization import factorize, induced_factorization_map
 from ssetkit.formats import (
     Document,
     FormatError,
-    _parse_cellpres,
+    parse_cellpres,
     parse_document,
     print_cellpres,
     print_document,
@@ -47,9 +47,9 @@ def _load_document(path):
 
 
 def _load_cellpres(path):
-    """The presentation, its document and its realization."""
+    """The presentation, which carries its realization, and its document."""
     try:
-        return _parse_cellpres(_read(path))
+        return parse_cellpres(_read(path))
     except FormatError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -147,9 +147,12 @@ def _cmd_pushout(args):
     c_name = _doc_name(doc, g.target) or "c"
     report.objects[b_name] = i.target
     report.objects[c_name] = g.target
-    report.objects["corner"] = p.corner
-    report.add_map("leg_b", p.leg_from_b, b_name, "corner")
-    report.add_map("leg_c", p.leg_from_c, c_name, "corner")
+    corner = "corner"
+    while corner in report.objects:     # an input object's name
+        corner += "_"
+    report.objects[corner] = p.corner
+    report.add_map("leg_b", p.leg_from_b, b_name, corner)
+    report.add_map("leg_c", p.leg_from_c, c_name, corner)
     out.append("")
     out.append(print_document(report).rstrip("\n"))
     return 0, "\n".join(out) + "\n"
@@ -192,7 +195,8 @@ def _cmd_rlp(args):
 
 
 def _cmd_realize(args):
-    pres, _, res = _load_cellpres(args.file)
+    pres, _ = _load_cellpres(args.file)
+    res = pres.realization
     out = [f"realize: stages={len(pres.stages)} "
            f"cells={pres.attachment_count()} "
            f"final_size={res.final.size()}"]
@@ -206,7 +210,8 @@ def _cmd_realize(args):
 
 
 def _cmd_factor_stage(args):
-    _, doc, res = _load_cellpres(args.file)
+    pres, doc = _load_cellpres(args.file)
+    res = pres.realization
     m = _require_map(doc, args.map)
     if m.target != res.final:
         raise InputError(f"map {args.map!r} does not land in the final stage")
@@ -221,9 +226,9 @@ def _cmd_factor_stage(args):
 
 
 def _cmd_j2i(args):
-    pres, _, res = _load_cellpres(args.file)
+    pres, _ = _load_cellpres(args.file)
     try:
-        converted, _iso = j_to_i_presentation(res)
+        converted, _iso = j_to_i_presentation(pres)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     out = [f"j2i: attachments {pres.attachment_count()} -> "

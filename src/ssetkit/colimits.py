@@ -280,12 +280,10 @@ def sequential_colimit(inclusions, base=None):
                 seen.add(img.base)
             objects.append(inc.target)
 
-    final = objects[-1]
-    birth = {n: len(objects) - 1 for n in final.names()}
-    for k in range(len(objects) - 2, -1, -1):
-        comp = identity(objects[k])
-        for inc in inclusions[k:]:
-            comp = compose(inc, comp)
-        for n in objects[k].names():
-            birth[comp.images[n].base] = k
+    # births are carried forward along each inclusion; a simplex no earlier
+    # simplex maps onto is born at its own stage
+    birth = dict.fromkeys(objects[0].names(), 0)
+    for k, inc in enumerate(inclusions, start=1):
+        carried = {inc.images[n].base: birth[n] for n in inc.source.names()}
+        birth = {n: carried.get(n, k) for n in inc.target.names()}
     return StageRecord(objects, inclusions, birth)

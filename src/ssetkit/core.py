@@ -283,8 +283,13 @@ class SimplicialMap:
         return tuple(tgt.ref_key(self.images[n]) for n in self.source.names())
 
 
+def _name_inclusion(sub, ambient):
+    return SimplicialMap(sub, ambient,
+                         {name: SimplexRef(name) for name in sub.names()})
+
+
 def identity(s):
-    return SimplicialMap(s, s, {n: SimplexRef(n) for n in s.names()})
+    return _name_inclusion(s, s)
 
 
 def compose(g, f):
@@ -340,7 +345,8 @@ def is_map(f):
 # Validation
 
 class ValidationReport:
-    """Outcome of `validate`: a list of defect descriptions, empty iff valid."""
+    """Outcome of `validate` or `factorization.verify_factorization`: a
+    list of defect descriptions, empty iff valid."""
 
     def __init__(self, issues):
         self.issues = list(issues)
@@ -372,8 +378,10 @@ def validate(s):
                               f"(dims {seen[name]} and {d})")
                 duplicated.add(name)
             seen[name] = d
-    # a duplicated name has no one dimension and face list to check
-    structurally_ok = set(s.simplices(0)) - duplicated
+    # identities are only evaluated where every iterated face is intact, so
+    # that the operator action below cannot hit missing structure; a
+    # duplicated name has no one dimension and face list to check
+    hereditary = set(s.simplices(0)) - duplicated
     for d in range(1, s.dim + 1):
         for name in s.simplices(d):
             refs = s._faces.get(name)
@@ -398,15 +406,9 @@ def validate(s):
                     issues.append(f"{name}: face {i} degeneracy word "
                                   f"{r.word} is not in normal form")
                     ok = False
-            if ok and name not in duplicated:
-                structurally_ok.add(name)
-    # identities are only evaluated where every iterated face is intact,
-    # so the operator action below cannot hit missing structure
-    hereditary = set(s.simplices(0)) - duplicated
-    for d in range(1, s.dim + 1):
-        for name in s.simplices(d):
-            if name in structurally_ok and \
-                    all(r.base in hereditary for r in s._faces[name]):
+            # faces lie in lower dimensions, which are already decided
+            if ok and name not in duplicated and \
+                    all(r.base in hereditary for r in refs):
                 hereditary.add(name)
     for d in range(2, s.dim + 1):
         for name in s.simplices(d):
@@ -478,11 +480,6 @@ def horn(n, k):
     missing = full[:k] + full[k + 1:]
     return _subsets_object(
         n, lambda verts: len(verts) < n + 1 and verts != missing)
-
-
-def _name_inclusion(sub, ambient):
-    return SimplicialMap(sub, ambient,
-                         {name: SimplexRef(name) for name in sub.names()})
 
 
 @lru_cache(maxsize=OBJECT_CACHE_SIZE)

@@ -24,8 +24,8 @@ lifting-property checks together (the certifying-algorithm pattern: the
 checker checks certificates and never trusts the producer's verdicts).
 """
 
-from ssetkit.core import compose
-from ssetkit.cells import PresentationBuilder
+from ssetkit.core import ValidationReport, compose
+from ssetkit.cells import PresentationBuilder, realize
 from ssetkit.lifting import (
     Lift,
     LiftingProblem,
@@ -88,12 +88,6 @@ class FactorizationResult:
     @property
     def middle(self):
         return self.left.target
-
-
-def _attach_label(kind, label):
-    n = label[1]
-    k = label[2] if kind == "J" else None
-    return n, k
 
 
 def _key(m):
@@ -163,8 +157,7 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
 
         for idx in pending:
             label, sq = squares[idx]
-            n, kk = _attach_label(kind, label)
-            builder.attach(kind, n, kk, attaching=sq.top)
+            builder.attach(*label, attaching=sq.top)
         stage = builder.close_stage()
         witnesses = [d if d is None else compose(stage.inclusion, d)
                      for d in diagonals]
@@ -183,18 +176,6 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
 
 # ---------------------------------------------------------------------------
 # Verification
-
-class VerificationReport:
-    def __init__(self, issues):
-        self.issues = list(issues)
-
-    @property
-    def ok(self):
-        return not self.issues
-
-    def __str__(self):
-        return "all checks passed" if self.ok else "\n".join(self.issues)
-
 
 def _is_lift(problem, w):
     return (w is not None and w.source == problem.left.target
@@ -265,9 +246,8 @@ def verify_factorization(result):
     early-top solvability of the final stage, and (when the residual is
     empty) the full lifting property of the right factor at the run's cap.
     The last three read one fresh solve of the final squares, which are
-    the squares `check_rlp` would enumerate."""
-    from ssetkit.cells import realize
-
+    the squares `check_rlp` would enumerate.  Returns a
+    `ValidationReport` listing the issues found."""
     issues = []
     r = result
     if compose(r.right, r.left) != r.f:
@@ -304,7 +284,7 @@ def verify_factorization(result):
 
     if not r.residual and unsolved:
         issues.append("rlp: converged run's right factor fails check_rlp")
-    return VerificationReport(issues)
+    return ValidationReport(issues)
 
 
 # ---------------------------------------------------------------------------

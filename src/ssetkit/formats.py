@@ -39,11 +39,7 @@ from ssetkit.core import (
     SimplicialMap,
     validate,
 )
-from ssetkit.cells import (
-    Attachment,
-    CellPresentation,
-    realize,
-)
+from ssetkit.cells import Attachment, CellPresentation
 from ssetkit.lifting import generator
 
 NAME_RE = r"[A-Za-z0-9_.]+"
@@ -242,19 +238,16 @@ def _generator_name(kind, n, k):
     return f"boundary{n}" if kind == "I" else f"horn{n}_{k}"
 
 
-def print_cellpres(pres, base_name="base"):
+def print_cellpres(pres):
     """Canonical cellpres/1 text: attachment lines, then an embedded sset/1
-    section with the base, generator sources, realized stages, and attaching
-    maps."""
-    res = realize(pres)
-    out = ["cellpres/1", f"base {base_name}"]
+    section with the base, generator sources, realized stages (read from the
+    realization the presentation carries), and attaching maps."""
+    res = pres.realization
+    out = ["cellpres/1", "base base"]
     doc = Document()
-    doc.objects[base_name] = pres.base
-    stage_names = {0: base_name}
-    for s in range(1, len(pres.stages) + 1):
-        stage_names[s] = f"stage{s}"
-        if f"stage{s}" == base_name:
-            raise ValueError("base name collides with a stage name")
+    doc.objects["base"] = pres.base
+    stage_names = ["base"] + [f"stage{s}"
+                              for s in range(1, len(pres.stages) + 1)]
     attach_entries = []
     for s, attachments in enumerate(pres.stages, start=1):
         for t, att in enumerate(attachments):
@@ -274,15 +267,10 @@ def print_cellpres(pres, base_name="base"):
 
 
 def parse_cellpres(text):
-    """Parse cellpres/1; the base is checked with `validate`, attaching
-    maps with `map_errors` (by `Attachment`), and stage objects named
-    stage1..stageK are verified against the recomputed realization."""
-    pres, doc, _ = _parse_cellpres(text)
-    return pres, doc
-
-
-def _parse_cellpres(text):
-    """`parse_cellpres`, also returning the realization it computed."""
+    """Parse cellpres/1 into a presentation, which carries the realization
+    computed here, and the document.  The base is checked with `validate`,
+    attaching maps with `map_errors` (by `Attachment`), and stage objects
+    named stage1..stageK are verified against the recomputed realization."""
     lines = list(_strip(enumerate(text.splitlines(), start=1)))
     if not lines or lines[0][1] != "cellpres/1":
         raise FormatError(lines[0][0] if lines else 1,
@@ -355,7 +343,7 @@ def _parse_cellpres(text):
 
     pres = CellPresentation(base, tuple(tuple(st) for st in stages))
     try:
-        res = realize(pres)
+        res = pres.realization
     except ValueError as exc:
         raise FormatError(1, str(exc)) from exc
     for s in range(1, len(stages) + 1):
@@ -363,7 +351,7 @@ def _parse_cellpres(text):
         if declared is not None and declared != res.record.objects[s]:
             raise FormatError(1, f"declared stage{s} does not match the "
                               "recomputed realization")
-    return pres, doc, res
+    return pres, doc
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ sufficient one, and is labeled as such everywhere.
 
 from dataclasses import dataclass
 
+from ssetkit.colimits import _DisjointSet
+
 
 class ChainComplex:
     """Free integer chain complex: `basis[d]` lists the degree-d generators
@@ -362,22 +364,13 @@ def mapping_cone(f):
 
 def path_components(s):
     """Partition of the vertices by the nondegenerate edges."""
-    parent = {v: v for v in s.simplices(0)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    classes = _DisjointSet()
     for e in s.simplices(1):
         faces = s.faces_of(e)
-        a, b = find(faces[0].base), find(faces[1].base)
-        if a != b:
-            parent[b] = a
+        classes.union(faces[0].base, faces[1].base)
     comps = {}
     for v in s.simplices(0):
-        comps.setdefault(find(v), []).append(v)
+        comps.setdefault(classes.find(v), []).append(v)
     return list(comps.values())
 
 

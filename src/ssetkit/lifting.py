@@ -218,7 +218,7 @@ class RetractDiagram:
             raise ValueError("retract diagram: outer square does not commute")
 
 
-def lift_via_retract(diagram, problem, solver=solve_lift):
+def lift_via_retract(diagram, problem):
     """Transfer a lift across a retract: solve the induced square for the
     middle map j and restrict along the retraction.
 
@@ -230,7 +230,7 @@ def lift_via_retract(diagram, problem, solver=solve_lift):
         diagram.j, problem.right,
         compose(problem.top, diagram.a_out),
         compose(problem.bottom, diagram.b_out))
-    inner = solver(induced)
+    inner = solve_lift(induced)
     if not isinstance(inner, Lift):
         raise LiftTransferError("lift_via_retract: no lift for the induced "
                                 "square of j")
@@ -272,10 +272,8 @@ def lift_via_coproduct(problems, lifts):
                                 "right map")
     srcs, src_injs = coproduct([q.left.source for q in problems])
     tgts, tgt_injs = coproduct([q.left.target for q in problems])
-    left = SimplicialMap(srcs, tgts, {
-        inj.images[n].base: tgt_injs[t](q.left.images[n])
-        for t, (inj, q) in enumerate(zip(src_injs, problems))
-        for n in q.left.source.names()})
+    left = coproduct_induced(srcs, src_injs, [
+        compose(inj, q.left) for inj, q in zip(tgt_injs, problems)])
     top = coproduct_induced(srcs, src_injs, [q.top for q in problems])
     bottom = coproduct_induced(tgts, tgt_injs, [q.bottom for q in problems])
     assembled = LiftingProblem(left, f, top, bottom)
@@ -288,7 +286,7 @@ def lift_via_coproduct(problems, lifts):
     return assembled, Lift(diag)
 
 
-def lift_via_composition(stages, problem, solver=solve_lift):
+def lift_via_composition(stages, problem):
     """Lift against a finite chain of inclusions, stage by stage.  `problem`
     must have the chain composite as its left map; each stage square is
     solved with the previous diagonal as its top.  Raises with the failing
@@ -301,7 +299,7 @@ def lift_via_composition(stages, problem, solver=solve_lift):
         rest = stages.composite_from(k + 1)
         stage_problem = LiftingProblem(inc, problem.right, h,
                                        compose(problem.bottom, rest))
-        found = solver(stage_problem)
+        found = solve_lift(stage_problem)
         if not isinstance(found, Lift):
             raise LiftTransferError(f"lift_via_composition: stage {k} "
                                     "unsolvable")
