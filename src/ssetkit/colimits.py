@@ -256,8 +256,9 @@ class StageRecord:
 
 def sequential_colimit(inclusions, base=None):
     """Chain a list of stage inclusions into a StageRecord.  Every map must
-    be injective on nondegenerate simplices with nondegenerate images (the
-    combinatorial meaning of an inclusion); violations name the stage."""
+    send each nondegenerate simplex to a nondegenerate simplex of its target
+    of the same dimension, injectively (the combinatorial meaning of an
+    inclusion); violations name the stage."""
     if not inclusions:
         if base is None:
             raise ValueError("sequential_colimit: need at least a base object")
@@ -269,11 +270,18 @@ def sequential_colimit(inclusions, base=None):
                 raise ValueError(f"sequential_colimit: stage {k} source does "
                                  "not match previous target")
             seen = set()
+            target = inc.target
             for n in inc.source.names():
                 img = inc.images[n]
                 if img.word:
                     raise ValueError(f"sequential_colimit: stage {k} map "
                                      f"sends {n} to a degenerate simplex")
+                if not (target.has(img.base) and target.dim_of(img.base)
+                        == inc.source.dim_of(n)):
+                    raise ValueError(f"sequential_colimit: stage {k} map "
+                                     f"sends {n} to {img.base}, which is not "
+                                     "a simplex of its target of the same "
+                                     "dimension")
                 if img.base in seen:
                     raise ValueError(f"sequential_colimit: stage {k} map is "
                                      "not injective on nondegenerate simplices")

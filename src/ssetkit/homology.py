@@ -9,6 +9,10 @@ no-silent-overflow policy holds by construction.
 Boundary maps are stored as sparse integer columns.  Each is reduced once
 per chain complex: unit pivots are eliminated on the sparse columns, and
 only the block that is left goes through the dense Smith normal form.
+`homology_groups` reduces from the top degree down with clearing: a column
+whose cell was a unit pivot row one degree up reduces to zero and is
+skipped.  Clearing rests on boundary . boundary = 0, which every
+`ChainComplex` checks when it is built (see `ChainComplex`).
 
 The certificate checks (a) a bijection on path components and (b) acyclicity
 of the algebraic mapping cone in degrees 0..maxdim, which decides that the
@@ -26,13 +30,31 @@ class ChainComplex:
     """Free integer chain complex: `basis[d]` lists the degree-d generators
     and `boundary[d]` (d >= 1) is the boundary map into degree d-1, as one
     sparse column `{row: coeff}` per generator, zero entries omitted.  The
-    invariant factors of each boundary map are computed once and kept on
-    the instance."""
+    constructor checks boundary . boundary = 0 and raises `ValueError`
+    otherwise; the invariant factors of each boundary map are computed
+    once and kept on the instance.
+
+    Clearing (Chen-Kerber 2011; Bauer-Kerber-Reininghaus 2014): once the
+    map out of degree d+1 is reduced, the reduction of the map out of
+    degree d skips every column whose cell was a unit pivot row above.  At
+    pivot time each pivot column is a boundary, and its pivot row has been
+    cleared from every live column, so restricted to the pivot rows the
+    pivot columns form a triangular matrix with +-1 on the diagonal.  They
+    span a direct summand of C_d, with the cells outside the pivot set
+    spanning a complement.  The map out of degree d is zero on boundaries,
+    so it has the same invariant factors as its restriction to those other
+    columns.  This rests on boundary . boundary = 0, which is why the
+    constructor checks it.
+    """
 
     def __init__(self, basis, boundary):
+        d = _square_nonzero_degree(boundary)
+        if d is not None:
+            raise ValueError(f"boundary squared is nonzero in degree {d}")
         self.basis = [list(b) for b in basis]
         self.boundary = boundary
         self._factors = {}
+        self._pivots = {}
 
     def dims(self):
         return len(self.basis) - 1
@@ -52,11 +74,19 @@ class ChainComplex:
         return m
 
     def factors(self, d):
-        """Invariant factors of the boundary map C_d -> C_{d-1}."""
+        """Invariant factors of the boundary map C_d -> C_{d-1}.  Columns
+        cleared by the unit pivots of degree d+1 are skipped when that
+        degree has been reduced already; request degrees from the top down
+        to clear the most."""
         out = self._factors.get(d)
         if out is None:
-            out = self._factors[d] = _invariant_factors(
-                self.boundary.get(d, ()))
+            columns = self.boundary.get(d, ())
+            cleared = self._pivots.get(d + 1)
+            if cleared:
+                columns = [col for j, col in enumerate(columns)
+                           if j not in cleared]
+            out, self._pivots[d] = _invariant_factors(columns)
+            self._factors[d] = out
         return out
 
 
@@ -79,8 +109,8 @@ def _square_nonzero_degree(boundary):
 
 def chain_complex(s):
     """Normalized chains of a valid finite simplicial set: the boundary of a
-    simplex is the alternating sum of its nondegenerate faces.  Verifies
-    boundary . boundary = 0 before returning."""
+    simplex is the alternating sum of its nondegenerate faces.  The
+    `ChainComplex` constructor verifies boundary . boundary = 0."""
     top = s.dim
     basis = [list(s.simplices(d)) for d in range(top + 1)]
     boundary = {}
@@ -101,14 +131,12 @@ def chain_complex(s):
                 sign = -sign
             columns.append(col)
         boundary[d] = columns
-    d = _square_nonzero_degree(boundary)
-    if d is not None:
-        raise ValueError(f"boundary squared is nonzero in degree {d}")
     return ChainComplex(basis, boundary)
 
 
 def _invariant_factors(columns):
-    """Nonzero invariant factors of the matrix with these sparse columns.
+    """Nonzero invariant factors of the matrix with these sparse columns,
+    and the set of rows used as unit pivots.
 
     Unit pivots are eliminated first (Dumas-Heckenbach-Saunders-Welker
     2003).  A column's pivot is the +-1 entry whose row has the fewest
@@ -122,7 +150,7 @@ def _invariant_factors(columns):
     for j, col in enumerate(cols):
         for i in col:
             rows.setdefault(i, set()).add(j)
-    units = 0
+    pivots = set()
     pending = list(range(len(cols) - 1, -1, -1))
     stuck = set()
     while pending:
@@ -136,7 +164,7 @@ def _invariant_factors(columns):
         if best is None:
             stuck.add(j)
             continue
-        units += 1
+        pivots.add(best)
         cols[j] = {}
         pivot = col.pop(best)
         for i in col:
@@ -159,14 +187,15 @@ def _invariant_factors(columns):
                 stuck.remove(k)
                 pending.append(k)
     left = [col for col in cols if col]
+    units = [1] * len(pivots)
     if not left:
-        return [1] * units
+        return units, pivots
     index = {i: r for r, i in enumerate(sorted({i for c in left for i in c}))}
     dense = [[0] * len(left) for _ in index]
     for j, col in enumerate(left):
         for i, v in col.items():
             dense[index[i]][j] = v
-    return [1] * units + smith_normal_form(dense).factors
+    return units + smith_normal_form(dense).factors, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +340,11 @@ def homology(s, d):
 
 
 def homology_groups(s, maxdim):
+    """H_0 .. H_maxdim.  The boundary maps are reduced from the top degree
+    down, so that each reduction skips the columns cleared above it."""
     cx = chain_complex(s)
+    for d in range(min(maxdim, cx.dims()) + 1, 0, -1):
+        cx.factors(d)
     return [homology_of_complex(cx, d) for d in range(maxdim + 1)]
 
 
@@ -357,9 +390,10 @@ def mapping_cone(f):
         for tcol in tgt.boundary.get(d, ()):
             columns.append({offset + i: v for i, v in tcol.items()})
         boundary[d] = columns
-    if _square_nonzero_degree(boundary) is not None:
-        raise RuntimeError("mapping cone boundary squared is nonzero")
-    return ChainComplex(basis, boundary)
+    try:
+        return ChainComplex(basis, boundary)
+    except ValueError as err:
+        raise RuntimeError("mapping cone boundary squared is nonzero") from err
 
 
 def path_components(s):

@@ -235,3 +235,20 @@ class TestSequentialColimit:
         rec_map = edge_collapse()
         with pytest.raises(ValueError, match="stage 0"):
             sequential_colimit([rec_map])
+
+    def test_image_missing_from_target_rejected(self):
+        p = FiniteSimplicialSet({0: ["p"]})
+        q = FiniteSimplicialSet({0: ["q"]})
+        bad = SimplicialMap(p, q, {"p": SimplexRef("zz")})
+        with pytest.raises(ValueError, match="stage 0 map sends p to zz"):
+            sequential_colimit([bad])
+
+    def test_image_of_another_dimension_rejected(self):
+        # a point sent to the edge: the edge would be born before its ends
+        point = FiniteSimplicialSet({0: ["p"]})
+        edge = FiniteSimplicialSet({0: ["a", "b"], 1: ["e"]},
+                                   {"e": [SimplexRef("b"), SimplexRef("a")]})
+        inc0 = SimplicialMap(simplex(0), point, {"0": SimplexRef("p")})
+        bad = SimplicialMap(point, edge, {"p": SimplexRef("e")})
+        with pytest.raises(ValueError, match="stage 1 map sends p to e"):
+            sequential_colimit([inc0, bad])

@@ -25,6 +25,7 @@ from ssetkit.core import (
     simplex,
     validate,
 )
+from ssetkit import homology as homology_module
 from ssetkit.cells import PresentationBuilder, realize
 from ssetkit.formats import parse_cellpres, parse_document
 from ssetkit.homology import (
@@ -322,10 +323,12 @@ def test_instances_agree_with_dense():
         same_homology(s)
 
 
+CONE_MAPS = [boundary_inclusion(n) for n in range(1, 5)] + [
+    horn_inclusion(n, k) for n in range(1, 5) for k in range(n + 1)]
+
+
 def test_cones_agree_with_dense():
-    maps = [boundary_inclusion(n) for n in range(1, 5)]
-    maps += [horn_inclusion(n, k) for n in range(1, 5) for k in range(n + 1)]
-    for f in maps:
+    for f in CONE_MAPS:
         cone = mapping_cone(f)
         oracle = dense.mapping_cone(f)
         assert cone.basis == oracle.basis
@@ -335,35 +338,55 @@ def test_cones_agree_with_dense():
                 dense.homology_of_complex(oracle, d)
 
 
+def factors_in_every_order(build, rnd):
+    """Request every degree's factors top-down, bottom-up and in a shuffled
+    order, each on a fresh complex from `build`; each list must be the
+    factor list of the full Smith normal form."""
+    degrees = list(range(build().dims() + 2))
+    shuffled = degrees[:]
+    rnd.shuffle(shuffled)
+    for order in (degrees[::-1], degrees, shuffled):
+        cx = build()
+        for d in order:
+            assert cx.factors(d) == smith_normal_form(cx.matrix(d)).factors
+
+
+def cleared_like_dense(s, rnd):
+    factors_in_every_order(lambda: chain_complex(s), rnd)
+    same_homology(s)
+
+
 FACETS = st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5,
                            unique=True),
                   min_size=1, max_size=6)
 
 
 @settings(max_examples=60, deadline=None)
-@given(FACETS)
-def test_random_complexes_agree_with_dense(facets):
+@given(FACETS, st.randoms(use_true_random=False))
+def test_random_complexes_agree_with_dense(facets, rnd):
     s = complex_from_facets(facets)
     assert validate(s).ok
-    same_homology(s)
+    cleared_like_dense(s, rnd)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(FACETS, min_size=2, max_size=3))
-def test_disjoint_unions_agree_with_dense(parts):
+@given(st.lists(FACETS, min_size=2, max_size=3),
+       st.randoms(use_true_random=False))
+def test_disjoint_unions_agree_with_dense(parts, rnd):
     facets = [tuple((tag, v) for v in f)
               for tag, part in enumerate(parts) for f in part]
-    same_homology(complex_from_facets(facets))
+    cleared_like_dense(complex_from_facets(facets), rnd)
 
 
 @settings(max_examples=40, deadline=None)
-@given(FACETS, st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3))
-def test_quotients_agree_with_dense(facets, picks):
+@given(FACETS, st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_quotients_agree_with_dense(facets, picks, rnd):
     simplices = sorted(_closure(facets))
     collapse = [simplices[p % len(simplices)] for p in picks]
     s = quotient(facets, collapse)
     assert validate(s).ok
-    same_homology(s)
+    cleared_like_dense(s, rnd)
 
 
 ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 1, 2, 4, 6])
@@ -411,3 +434,76 @@ def test_non_chain_map_cone_is_caught():
     for cone in (mapping_cone, dense.mapping_cone):
         with pytest.raises(RuntimeError, match="boundary squared is nonzero"):
             cone(f)
+
+
+# ---------------------------------------------------------------------------
+# Clearing: the reduction from the top degree down
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CONE_MAPS), st.randoms(use_true_random=False))
+def test_clearing_on_cones(f, rnd):
+    factors_in_every_order(lambda: mapping_cone(f), rnd)
+    cone = mapping_cone(f)
+    oracle = dense.mapping_cone(f)
+    for d in range(cone.dims() + 1, -1, -1):
+        cone.factors(d)
+    for d in range(cone.dims() + 1):
+        assert homology_of_complex(cone, d) == \
+            dense.homology_of_complex(oracle, d)
+
+
+class TestClearingHappens:
+    def spy(self, monkeypatch):
+        seen = []
+        reduce = homology_module._invariant_factors
+
+        def counting(columns):
+            seen.append(len(columns))
+            return reduce(columns)
+
+        monkeypatch.setattr(homology_module, "_invariant_factors", counting)
+        return seen
+
+    def test_top_down_skips_the_cleared_columns(self, monkeypatch):
+        s = boundary(4)
+        seen = self.spy(monkeypatch)
+        assert homology_groups(s, 3) == [HomologyGroup(1)] + \
+            [HomologyGroup(0)] * 2 + [HomologyGroup(1)]
+        cx = dense.chain_complex(s)
+
+        def rank(d):
+            return len(smith_normal_form(cx.matrix(d)).factors)
+
+        # degrees 4, 3, 2, 1; degree 0, read for H_0, has no columns
+        expected = [cx.rank(d) - rank(d + 1) for d in (4, 3, 2, 1)]
+        assert seen == expected + [0]
+        assert expected == [0, 5, 6, 4]
+
+    def test_bottom_up_reduces_every_column(self, monkeypatch):
+        cx = chain_complex(boundary(4))
+        seen = self.spy(monkeypatch)
+        for d in range(1, 5):
+            cx.factors(d)
+        assert seen == [cx.rank(d) for d in range(1, 5)] == [10, 10, 5, 0]
+
+    def test_each_complex_is_checked_once(self, monkeypatch):
+        calls = []
+        check = homology_module._square_nonzero_degree
+
+        def counting(bd):
+            calls.append(len(bd))
+            return check(bd)
+
+        monkeypatch.setattr(homology_module, "_square_nonzero_degree",
+                            counting)
+        homology_groups(boundary(3), 2)
+        homology_groups(boundary(3), 2)
+        assert len(calls) == 2
+        weak_equivalence_certificate(horn_inclusion(2, 1), 2)
+        # source, target and cone
+        assert len(calls) == 5
+
+    def test_hand_built_complex_with_nonzero_square_is_rejected(self):
+        # d(t) = e and d(e) = a: boundary squared is a, not 0
+        with pytest.raises(ValueError, match="nonzero in degree 2"):
+            ChainComplex([["a"], ["e"], ["t"]], {1: [{0: 1}], 2: [{0: 1}]})
