@@ -294,6 +294,19 @@ def _cmd_we_cert(args):
 
 # ---------------------------------------------------------------------------
 
+def _count(text):
+    """A nonnegative integer flag value; anything else is a usage error,
+    exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser():
     """The argument parser, built once per process: parsing keeps no state
@@ -332,7 +345,7 @@ def _build_parser():
                              "family")
     p.add_argument("--map", required=True)
     p.add_argument("--gen", required=True, choices=["I", "J"])
-    p.add_argument("--cap", type=int, default=3)
+    p.add_argument("--cap", type=_count, default=3)
 
     add("realize", _cmd_realize, "realize a cell presentation")
 
@@ -346,10 +359,10 @@ def _build_parser():
     p = add("factorize", _cmd_factorize, "staged factorization of a map")
     p.add_argument("--map", required=True)
     p.add_argument("--gen", required=True, choices=["I", "J"])
-    p.add_argument("--cap", type=int, default=3)
+    p.add_argument("--cap", type=_count, default=3)
     p.add_argument("--mode", choices=["faithful", "reduced"],
                    default="reduced")
-    p.add_argument("--budget", type=int, default=5)
+    p.add_argument("--budget", type=_count, default=5)
 
     p = add("functorial", _cmd_functorial,
             "stagewise maps between two faithful factorizations")
@@ -358,17 +371,17 @@ def _build_parser():
     p.add_argument("--top", required=True, help="map between the sources")
     p.add_argument("--bottom", required=True, help="map between the targets")
     p.add_argument("--gen", required=True, choices=["I", "J"])
-    p.add_argument("--cap", type=int, default=3)
-    p.add_argument("--budget", type=int, default=2)
+    p.add_argument("--cap", type=_count, default=3)
+    p.add_argument("--budget", type=_count, default=2)
 
     p = add("homology", _cmd_homology, "integer homology groups")
     p.add_argument("--object", required=True)
-    p.add_argument("--maxdim", type=int, default=3)
+    p.add_argument("--maxdim", type=_count, default=3)
 
     p = add("we-cert", _cmd_we_cert, "weak-equivalence necessary-condition "
                                      "certificate")
     p.add_argument("--map", required=True)
-    p.add_argument("--maxdim", type=int, default=3)
+    p.add_argument("--maxdim", type=_count, default=3)
     return parser
 
 

@@ -17,11 +17,12 @@ stage the previous round ran against (a name-set test, since stages keep
 their names) restricts to a square of that round, which was lifted or got
 a cell, so it is not searched again.  Each round records one witness per
 square, a diagonal: the lift found, the one carried over, or the
-characteristic map of the cell attached for it.  The verifier checks each
-witness with `verify_lift` instead of searching, and enumerates and solves
-the final squares once, for the residual, the early-top and the full
-lifting-property checks together (the certifying-algorithm pattern: the
-checker checks certificates and never trusts the producer's verdicts).
+characteristic map of the cell attached for it.  The verifier has one rule
+for every stage: a witness that passes `verify_lift` settles its square,
+and only a square without one, or with a wrong one, is searched.  It
+enumerates the final squares afresh, so completeness never rests on the
+producer (the certifying-algorithm pattern: the checker checks
+certificates and never trusts the producer's verdicts).
 """
 
 from ssetkit.core import ValidationReport, compose
@@ -38,23 +39,28 @@ from ssetkit.lifting import (
 
 
 class FactorStage:
-    """One enumeration round: the object and projection it ran against, the
-    squares found (in canonical (generator, top, bottom) order), the
-    indices of those that received a cell, and one witness per square.
+    """One enumeration round: the projection it ran against, the squares
+    found (in canonical (generator, top, bottom) order), the indices of
+    those that received a cell, and one witness per square.
 
     A witness is a diagonal for its square, or None for a square left
-    unlifted.  After a round that attached cells it lands in the next
-    stage and solves the square with its top pushed along the inclusion;
-    at the last round it lands in this stage.  A stage built without
-    witnesses has all of them None."""
+    unlifted.  After a round that attached cells it lands in the next stage
+    and solves the square with its top pushed along the inclusion; at the
+    last round it lands in this stage.  Without witnesses all are None."""
 
-    def __init__(self, w, p, squares, attached, witnesses=None):
-        self.w = w
+    def __init__(self, p, squares, attached, witnesses=None):
         self.p = p
         self.squares = squares
         self.attached = list(attached)
         self.witnesses = (list(witnesses) if witnesses is not None
                           else [None] * len(squares))
+        if len(self.witnesses) != len(squares):
+            raise ValueError("FactorStage: one witness per square")
+
+    @property
+    def w(self):
+        """The stage object: the projection's source."""
+        return self.p.source
 
 
 class FactorizationResult:
@@ -99,18 +105,20 @@ def _early(sq, stage):
     return all(stage.w.has(ref.base) for ref in sq.top.images.values())
 
 
+def _witness_index(stage):
+    """The stage's witnesses by (label, top, bottom) key."""
+    return {(label, _key(sq.top), _key(sq.bottom)): w
+            for (label, sq), w in zip(stage.squares, stage.witnesses)}
+
+
 def _diagonals(squares, prev):
     """A diagonal for each square, or None where none exists.  A square
     whose top lies in the stage of the previous round `prev` takes that
     round's witness; the rest are searched."""
-    carried = None
+    carried = _witness_index(prev) if prev is not None else None
     out = []
     for label, sq in squares:
-        if prev is not None and _early(sq, prev):
-            if carried is None:
-                carried = {(lb, _key(old.top), _key(old.bottom)): w
-                           for (lb, old), w in zip(prev.squares,
-                                                   prev.witnesses)}
+        if carried is not None and _early(sq, prev):
             out.append(carried[(label, _key(sq.top), _key(sq.bottom))])
         else:
             found = solve_lift(sq)
@@ -136,7 +144,6 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
     residual = []
 
     while True:
-        w_k = builder.current
         squares = [(label, sq) for label, gen in gens
                    for sq in enumerate_squares(gen, p_k)]
         last = len(stages) >= budget
@@ -149,7 +156,7 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
         pending = (list(range(len(squares))) if mode == "faithful"
                    else unlifted)
         if not pending or last:
-            stages.append(FactorStage(w_k, p_k, squares, [], diagonals))
+            stages.append(FactorStage(p_k, squares, [], diagonals))
             converged = not pending
             if not converged:
                 residual = [squares[idx] for idx in unlifted]
@@ -163,7 +170,7 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
                      for d in diagonals]
         for idx, char in zip(pending, stage.char_maps):
             witnesses[idx] = char
-        stages.append(FactorStage(w_k, p_k, squares, pending, witnesses))
+        stages.append(FactorStage(p_k, squares, pending, witnesses))
         p_k = stage.induced([squares[idx][1].bottom for idx in pending], p_k)
 
     realization = builder.realized()
@@ -177,58 +184,55 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
 # ---------------------------------------------------------------------------
 # Verification
 
-def _is_lift(problem, w):
-    return (w is not None and w.source == problem.left.target
-            and w.target == problem.right.source and verify_lift(problem, w))
+def _checks(result):
+    """The verifier's one pass.  A square of a stage followed by an
+    attachment round must lift through the next stage; the final squares
+    are enumerated afresh against the right factor.  A square whose witness
+    is a lift is settled; one with no witness, or a wrong one, is searched.
+    Returns the (stage, square index) pairs with a wrong witness and those
+    that do not lift, and each final square with whether it lifts."""
+    stages, last = result.stages, len(result.stages) - 1
+    wrong, failures, final = [], [], []
 
+    def lifts(k, idx, sq, w):
+        if (w is not None and w.source == sq.left.target
+                and w.target == sq.right.source and verify_lift(sq, w)):
+            return True
+        if w is not None:
+            wrong.append((k, idx))
+        if k < last:
+            # a pushed square is checked before it is searched
+            sq = LiftingProblem(sq.left, sq.right, sq.top, sq.bottom)
+        return isinstance(solve_lift(sq), Lift)
 
-def _stage_checks(result):
-    """Every square enumerated at a stage that was followed by an
-    attachment round must lift through the next stage.  Returns the
-    (stage, square index) pairs whose witness is not such a lift, and
-    those that do not lift at all: a square with no witness, or a wrong
-    one, is searched."""
-    wrong, failures = [], []
-    for k in range(len(result.stages) - 1):
+    for k, stage in enumerate(stages[:-1]):
         inc = result.realization.stage_data[k].inclusion
-        next_p = result.stages[k + 1].p
-        stage = result.stages[k]
-        for idx, (label, sq) in enumerate(stage.squares):
-            top = compose(inc, sq.top)
-            w = (stage.witnesses[idx] if idx < len(stage.witnesses)
-                 else None)
-            # a lift makes the square commute, so it needs no check
-            if _is_lift(_commuting(sq.left, next_p, top, sq.bottom), w):
-                continue
-            if w is not None:
-                wrong.append((k, idx))
-            through = LiftingProblem(sq.left, next_p, top, sq.bottom)
-            if not isinstance(solve_lift(through), Lift):
+        for idx, ((_, sq), w) in enumerate(zip(stage.squares,
+                                               stage.witnesses)):
+            # a lift makes the pushed square commute, so it needs no check
+            pushed = _commuting(sq.left, stages[k + 1].p,
+                                compose(inc, sq.top), sq.bottom)
+            if not lifts(k, idx, pushed, w):
                 failures.append((k, idx))
-    return wrong, failures
+    index = _witness_index(stages[-1]) if stages else {}
+    for label, gen in generator_family(result.kind, result.cap):
+        for sq in enumerate_squares(gen, result.right):
+            w = index.get((label, _key(sq.top), _key(sq.bottom)))
+            final.append((label, sq, lifts(last, len(final), sq, w)))
+    return wrong, failures, final
 
 
 def stage_solvability_failures(result):
-    """The heart of the construction: every square enumerated at a stage
-    that was followed by an attachment round must lift through the next
-    stage.  Returns the (stage, square index) pairs where this fails."""
-    return _stage_checks(result)[1]
-
-
-def _final_pass(result):
-    """The squares against the right factor, each with whether it lifts:
-    the one enumeration and solve the residual, early-top and lifting
-    property checks read."""
-    return [(label, sq, isinstance(solve_lift(sq), Lift))
-            for label, gen in generator_family(result.kind, result.cap)
-            for sq in enumerate_squares(gen, result.right)]
+    """The heart of the construction: every square of a stage followed by
+    an attachment round lifts through the next stage.  Returns the (stage,
+    square index) pairs where this fails."""
+    return _checks(result)[1]
 
 
 def _early_top(result, final):
-    if len(result.stages) < 2:
-        return []
     return [idx for idx, (_, sq, solved) in enumerate(final)
-            if not solved and _early(sq, result.stages[-2])]
+            if not solved and len(result.stages) > 1
+            and _early(sq, result.stages[-2])]
 
 
 def early_top_failures(result):
@@ -236,7 +240,7 @@ def early_top_failures(result):
     below the last attachment round must be solvable: their restriction was
     enumerated back then and a cell (or an existing lift) covers it.  This is
     the finiteness step that lets capped runs certify anything at all."""
-    return _early_top(result, _final_pass(result))
+    return _early_top(result, _checks(result)[2])
 
 
 def verify_factorization(result):
@@ -245,9 +249,9 @@ def verify_factorization(result):
     the witness and solvability of every square of every stage, the
     early-top solvability of the final stage, and (when the residual is
     empty) the full lifting property of the right factor at the run's cap.
-    The last three read one fresh solve of the final squares, which are
-    the squares `check_rlp` would enumerate.  Returns a
-    `ValidationReport` listing the issues found."""
+    The last four read one pass (`_checks`): it searches only squares
+    without a valid witness, and enumerates afresh the final squares, which
+    `check_rlp` would enumerate.  Returns a `ValidationReport` of issues."""
     issues = []
     r = result
     if compose(r.right, r.left) != r.f:
@@ -260,27 +264,24 @@ def verify_factorization(result):
         issues.append("presentation: realized object differs from middle")
 
     if r.mode == "faithful":
-        for k, stage in enumerate(r.stages[:-1]):
-            if len(stage.attached) != len(stage.squares):
-                issues.append(f"stage {k}: faithful mode must attach one "
-                              "cell per square")
+        issues += [f"stage {k}: faithful mode must attach one cell per "
+                   "square" for k, stage in enumerate(r.stages[:-1])
+                   if len(stage.attached) != len(stage.squares)]
 
-    final = _final_pass(r)
+    wrong, failures, final = _checks(r)
     unsolved = [(label, sq) for label, sq, solved in final if not solved]
     if unsolved != list(r.residual):
         issues.append("residual: recorded residual does not match re-solve")
 
-    wrong, failures = _stage_checks(r)
-    for k, idx in wrong:
-        issues.append(f"stage {k}: square #{idx} has a witness that is not "
-                      "a lift through the next stage")
-    for k, idx in failures:
-        issues.append(f"stage {k}: square #{idx} does not lift through the "
-                      "next stage")
-
-    for idx in _early_top(r, final):
-        issues.append(f"final stage: square #{idx} has an early-born top "
-                      "but no lift")
+    last = len(r.stages) - 1
+    issues += [f"stage {k}: square #{idx} has a witness that is not a lift "
+               "through the next stage" for k, idx in wrong if k < last]
+    issues += [f"stage {k}: square #{idx} does not lift through the next "
+               "stage" for k, idx in failures]
+    issues += [f"final stage: square #{idx} has a witness that is not a "
+               "lift" for k, idx in wrong if k == last]
+    issues += [f"final stage: square #{idx} has an early-born top but no "
+               "lift" for idx in _early_top(r, final)]
 
     if not r.residual and unsolved:
         issues.append("rlp: converged run's right factor fails check_rlp")
@@ -322,9 +323,8 @@ def induced_factorization_map(u, v, r, r2):
                              "before the first; rerun with a larger budget")
         stage = r.realization.stage_data[k]
         stage2 = r2.realization.stage_data[k]
-        lookup = {}
-        for t2, (label2, sq2) in enumerate(r2.stages[k].squares):
-            lookup[(label2, sq2.top, sq2.bottom)] = t2
+        lookup = {(label2, sq2.top, sq2.bottom): t2
+                  for t2, (label2, sq2) in enumerate(r2.stages[k].squares)}
         cell_maps = []
         for label, sq in r.stages[k].squares:
             key = (label, compose(h, sq.top), compose(v, sq.bottom))

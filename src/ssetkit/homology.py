@@ -107,10 +107,10 @@ def _square_nonzero_degree(boundary):
     return None
 
 
-def chain_complex(s):
-    """Normalized chains of a valid finite simplicial set: the boundary of a
-    simplex is the alternating sum of its nondegenerate faces.  The
-    `ChainComplex` constructor verifies boundary . boundary = 0."""
+def _chains(s):
+    """The basis and sparse boundary columns of the normalized chains of a
+    valid finite simplicial set, unchecked: the boundary of a simplex is the
+    alternating sum of its nondegenerate faces."""
     top = s.dim
     basis = [list(s.simplices(d)) for d in range(top + 1)]
     boundary = {}
@@ -131,7 +131,13 @@ def chain_complex(s):
                 sign = -sign
             columns.append(col)
         boundary[d] = columns
-    return ChainComplex(basis, boundary)
+    return basis, boundary
+
+
+def chain_complex(s):
+    """Normalized chains of a valid finite simplicial set.  The
+    `ChainComplex` constructor verifies boundary . boundary = 0."""
+    return ChainComplex(*_chains(s))
 
 
 def _invariant_factors(columns):
@@ -353,41 +359,45 @@ def homology_groups(s, maxdim):
 
 def chain_map(f):
     """The induced map on normalized chains, one sparse column per source
-    generator: a generator whose image is degenerate maps to zero."""
-    src = chain_complex(f.source)
-    tgt = chain_complex(f.target)
+    generator: a generator whose image is degenerate maps to zero.  Returns
+    the source and target chains as unchecked (basis, boundary) pairs, and
+    the map."""
+    src, tgt = _chains(f.source), _chains(f.target)
     out = {}
-    for d in range(len(src.basis)):
-        tindex = {n: i for i, n in enumerate(tgt.basis[d])} \
-            if d < len(tgt.basis) else {}
+    for d, names in enumerate(src[0]):
+        tindex = {n: i for i, n in enumerate(tgt[0][d])} \
+            if d < len(tgt[0]) else {}
         out[d] = [{} if img.word else {tindex[img.base]: 1}
-                  for img in (f.images[name] for name in src.basis[d])]
+                  for img in (f.images[name] for name in names)]
     return src, tgt, out
 
 
 def mapping_cone(f):
     """The algebraic mapping cone of the induced chain map: degree d is
-    C_{d-1}(source) + C_d(target), with boundary (-d_src, f# + d_tgt)."""
-    src, tgt, fmap = chain_map(f)
-    top = max(src.dims() + 1, tgt.dims())
-    basis = []
-    for d in range(top + 1):
-        names = [("s", n) for n in
-                 (src.basis[d - 1] if 1 <= d <= src.dims() + 1 else [])]
-        names += [("t", n) for n in (tgt.basis[d] if d <= tgt.dims() else [])]
-        basis.append(names)
+    C_{d-1}(source) + C_d(target), with boundary (-d_src, f# + d_tgt).  Its
+    boundary . boundary = 0 check covers the source's and the target's,
+    which are its diagonal blocks."""
+    (sbasis, sbd), (tbasis, tbd), fmap = chain_map(f)
+
+    def src(d):
+        return sbasis[d] if 0 <= d < len(sbasis) else []
+
+    top = max(len(sbasis), len(tbasis) - 1)
+    basis = [[("s", n) for n in src(d - 1)]
+             + [("t", n) for n in (tbasis[d] if d < len(tbasis) else [])]
+             for d in range(top + 1)]
     boundary = {}
     for d in range(1, top + 1):
         # target rows come after the source rows of degree d-2
-        offset = src.rank(d - 2) if d >= 2 else 0
-        dsrc = src.boundary.get(d - 1)
+        offset = len(src(d - 2))
+        dsrc = sbd.get(d - 1)
         columns = []
-        for j in range(src.rank(d - 1)):
+        for j in range(len(src(d - 1))):
             col = {i: -v for i, v in dsrc[j].items()} if dsrc else {}
             for i, v in fmap[d - 1][j].items():
                 col[offset + i] = v
             columns.append(col)
-        for tcol in tgt.boundary.get(d, ()):
+        for tcol in tbd.get(d, ()):
             columns.append({offset + i: v for i, v in tcol.items()})
         boundary[d] = columns
     try:

@@ -335,3 +335,49 @@ class TestOtherCommands:
         assert code == 0
         assert out == ""
         assert target.read_text() == "we-cert: pass\n"
+
+
+class TestCountFlags:
+    """`--cap`, `--budget` and `--maxdim` take nonnegative integers: a
+    negative value is a usage error (exit 2, no traceback), and 0 is
+    accepted."""
+
+    FUNCTORIAL = ["functorial", str(DATA / "functorial.sset"),
+                  "--map", "insert", "--map2", "insert2", "--top", "idE",
+                  "--bottom", "pick_a", "--gen", "I"]
+    # (argv, flag, exit code with the flag at 0)
+    CASES = [
+        (["factorize", str(DATA / "factorize_insert.sset"), "--map",
+          "insert", "--gen", "I"], "--budget", 1),
+        (["factorize", str(DATA / "factorize_insert.sset"), "--map",
+          "insert", "--gen", "I"], "--cap", 0),
+        (FUNCTORIAL + ["--cap", "0"], "--budget", 0),
+        (FUNCTORIAL + ["--budget", "1"], "--cap", 0),
+        (["rlp", str(DATA / "rlp_boundary.sset"), "--map", "collapse",
+          "--gen", "I"], "--cap", 0),
+        (["homology", str(DATA / "homology.sset"), "--object", "circle"],
+         "--maxdim", 0),
+        (["we-cert", str(DATA / "homology.sset"), "--map", "horn_inc"],
+         "--maxdim", 0),
+    ]
+    IDS = [f"{argv[0]}{flag}" for argv, flag, _ in CASES]
+
+    @pytest.mark.parametrize("argv,flag,_", CASES, ids=IDS)
+    def test_negative_is_usage_error(self, capsys, argv, flag, _):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a nonnegative integer, got " \
+            "'-1'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,flag,code", CASES, ids=IDS)
+    def test_zero_is_accepted(self, capsys, argv, flag, code):
+        assert run_cli(capsys, *argv, flag, "0")[0] == code
+
+    def test_homology_at_zero_prints_h0(self, capsys):
+        code, out = run_cli(capsys, "homology", str(DATA / "homology.sset"),
+                            "--object", "circle", "--maxdim", "0")
+        assert (code, out) == (0, "homology object=circle maxdim=0\n"
+                                  "H0 = Z\n")

@@ -151,10 +151,17 @@ class TestWitnesses:
 
     def test_a_stage_without_witnesses_is_searched(self):
         r = multi_round_runs()[0]
-        bare = [FactorStage(s.w, s.p, s.squares, s.attached)
+        bare = [FactorStage(s.p, s.squares, s.attached)
                 for s in r.stages]
         assert all(w is None for s in bare for w in s.witnesses)
         assert verify_factorization(mutated(r, stages=bare)).ok
+
+    def test_one_witness_per_square(self):
+        stage = multi_round_runs()[0].stages[0]
+        assert stage.w == stage.p.source
+        with pytest.raises(ValueError, match="one witness per square"):
+            FactorStage(stage.p, stage.squares, stage.attached,
+                        stage.witnesses[1:])
 
 
 def counting(monkeypatch, module):
@@ -185,13 +192,22 @@ class TestFewerSearches:
         naive.factorize(f, "I", cap=3, budget=3)
         assert len(calls) < len(old_calls)
 
-    def test_the_verifier_solves_each_final_square_once(self, monkeypatch):
-        for r in multi_round_runs():
+    def test_the_verifier_searches_only_unwitnessed_final_squares(
+            self, monkeypatch):
+        searched = skipped = 0
+        for r in multi_round_runs() + [residual_run()]:
             calls = counting(monkeypatch, factorization)
             assert verify_factorization(r).ok
             final = [sq for label, gen in generator_family(r.kind, r.cap)
                      for sq in enumerate_squares(gen, r.right)]
-            assert calls == final
+            last = r.stages[-1]
+            assert [sq for _, sq in last.squares] == final
+            unwitnessed = [sq for sq, w in zip(final, last.witnesses)
+                           if w is None]
+            assert calls == unwitnessed
+            searched += len(unwitnessed)
+            skipped += len(final) - len(unwitnessed)
+        assert searched and skipped
 
 
 def mutated(r, **fields):
@@ -215,26 +231,39 @@ def residual_run():
                      budget=1)
 
 
+def swapped(stage):
+    """Two squares of one generator whose witnesses differ, and the stage
+    with those witnesses swapped: neither is a lift of the other square."""
+    by_label = {}
+    for idx, (label, _) in enumerate(stage.squares):
+        by_label.setdefault(label, []).append(idx)
+    i, j = next(idxs[:2] for idxs in by_label.values()
+                if len(idxs) > 1
+                and stage.witnesses[idxs[0]] != stage.witnesses[idxs[1]])
+    witnesses = list(stage.witnesses)
+    witnesses[i], witnesses[j] = witnesses[j], witnesses[i]
+    return i, j, FactorStage(stage.p, stage.squares, stage.attached,
+                             witnesses)
+
+
 class TestMutations:
     def test_wrong_witness(self):
         r = circle_run()
-        stage = r.stages[0]
-        # two squares of one generator whose witnesses differ
-        by_label = {}
-        for idx, (label, _) in enumerate(stage.squares):
-            by_label.setdefault(label, []).append(idx)
-        i, j = next(idxs[:2] for idxs in by_label.values()
-                    if len(idxs) > 1
-                    and stage.witnesses[idxs[0]] != stage.witnesses[idxs[1]])
-        witnesses = list(stage.witnesses)
-        witnesses[i], witnesses[j] = witnesses[j], witnesses[i]
-        swapped = FactorStage(stage.w, stage.p, stage.squares,
-                              stage.attached, witnesses)
+        i, j, stage = swapped(r.stages[0])
         report = verify_factorization(
-            mutated(r, stages=[swapped] + r.stages[1:]))
+            mutated(r, stages=[stage] + r.stages[1:]))
         assert report.issues == [
             f"stage 0: square #{idx} has a witness that is not a lift "
             "through the next stage" for idx in (i, j)]
+
+    def test_wrong_final_witness(self):
+        r = circle_run()
+        i, j, stage = swapped(r.stages[-1])
+        report = verify_factorization(
+            mutated(r, stages=r.stages[:-1] + [stage]))
+        assert report.issues == [
+            f"final stage: square #{idx} has a witness that is not a lift"
+            for idx in (i, j)]
 
     def test_dropped_cell(self):
         r = circle_run()
@@ -256,7 +285,7 @@ class TestMutations:
         realization = builder.realized()
         squares = [(label, sq) for label, gen in generator_family("I", 3)
                    for sq in enumerate_squares(gen, right)]
-        final = FactorStage(right.source, right, squares, [])
+        final = FactorStage(right, squares, [])
         bad = mutated(r, left=realization.composite(), right=right,
                       realization=realization,
                       stages=r.stages[:-1] + [final], residual=[],
