@@ -28,6 +28,7 @@ from ssetkit.core import (
     SimplexRef,
     SimplicialMap,
     _name_inclusion,
+    _positional,
     _vertex_name,
     boundary,
     compose,
@@ -109,11 +110,10 @@ class StageData:
                 or any(m.source != char.source
                        for char, m in zip(self.char_maps, cell_maps))):
             raise ValueError("induced: cocone does not match the stage")
-        images = {n: from_c.images[n] for n in from_c.source.names()}
+        images = dict(zip(from_c.source.names(), from_c.img))
         for char, m in zip(self.char_maps, cell_maps):
-            for w, ref in char.images.items():
-                if ref.base not in images:
-                    images[ref.base] = m.images[w]
+            for ref, want in zip(char.img, m.img):
+                images.setdefault(ref.base, want)
         h = SimplicialMap(self.inclusion.target, from_c.target, images)
         if compose(h, self.inclusion) != from_c or any(
                 compose(h, char) != m
@@ -158,12 +158,12 @@ def _attach(current, attachments, ordinal):
     char_images = []
     for t, att in enumerate(attachments):
         cell = simplex(att.n)
-        source = att.attaching.source
+        placed = att.attaching.images
         images = {}
         for d in range(att.n + 1):
             for i, w in enumerate(cell.simplices(d)):
-                if source.has(w):
-                    ref = att.attaching.images[w]
+                if w in placed:
+                    ref = placed[w]
                     if not current.has(ref.base):
                         raise ValueError(
                             f"stage {ordinal}: attaching map {t} sends {w} "
@@ -270,12 +270,11 @@ def factor_through_stage(realized, m):
         raise ValueError("factor_through_stage: map does not land in the "
                          "final stage")
     birth = record.birth
-    k = max((birth[m.images[n].base] for n in m.source.names()), default=0)
+    k = max((birth[ref.base] for ref in m.img), default=0)
     comp = record.composite_from(k)
-    inverse = {comp.images[n].base: n for n in record.objects[k].names()}
-    factored = SimplicialMap(m.source, record.objects[k], {
-        n: SimplexRef(inverse[m.images[n].base], m.images[n].word)
-        for n in m.source.names()})
+    inverse = {ref.base: n for n, ref in zip(comp.source.names(), comp.img)}
+    factored = _positional(m.source, comp.source, tuple(
+        SimplexRef(inverse[ref.base], ref.word) for ref in m.img))
     if compose(comp, factored) != m:
         raise RuntimeError("factor_through_stage: recovery check failed")
     return k, factored
@@ -284,23 +283,16 @@ def factor_through_stage(realized, m):
 # ---------------------------------------------------------------------------
 # Horn-to-boundary conversion
 
-def _proper_subsets(ground):
-    for size in range(1, len(ground)):
-        yield from combinations(ground, size)
-
-
 def _missing_face_attaching(att, h, target):
     """Attaching map of the horn's missing face into `target`: the boundary
     of the k-th face of the n-simplex lies inside the horn, so transport it
     through the original attaching map and the running isomorphism h."""
-    n, k = att.n, att.k
-    face_verts = tuple(v for v in range(n + 1) if v != k)
-    src = boundary(n - 1)
-    images = {}
-    for verts in _proper_subsets(tuple(range(n))):
-        picked = _vertex_name(tuple(face_verts[v] for v in verts))
-        images[_vertex_name(verts)] = h(att.attaching.images[picked])
-    return SimplicialMap(src, target, images)
+    face_verts = tuple(v for v in range(att.n + 1) if v != att.k)
+    return SimplicialMap(boundary(att.n - 1), target, {
+        _vertex_name(verts): h(att.attaching(SimplexRef(
+            _vertex_name(tuple(face_verts[v] for v in verts)))))
+        for size in range(1, att.n)
+        for verts in combinations(range(att.n), size)})
 
 
 def _top_cell_attaching(att, horn_to_mid, char_a):
@@ -309,16 +301,9 @@ def _top_cell_attaching(att, horn_to_mid, char_a):
     goes to the freshly attached cell."""
     n, k = att.n, att.k
     missing = _vertex_name(tuple(v for v in range(n + 1) if v != k))
-    top_of_face = _vertex_name(tuple(range(n)))
-    src = boundary(n)
-    images = {}
-    for verts in _proper_subsets(tuple(range(n + 1))):
-        name = _vertex_name(verts)
-        if name == missing:
-            images[name] = char_a.images[top_of_face]
-        else:
-            images[name] = horn_to_mid.images[name]
-    return SimplicialMap(src, horn_to_mid.target, images)
+    top_of_face = SimplexRef(_vertex_name(tuple(range(n))))
+    return SimplicialMap(boundary(n), horn_to_mid.target, {
+        **horn_to_mid.images, missing: char_a(top_of_face)})
 
 
 def j_to_i_presentation(presentation):
@@ -370,13 +355,12 @@ def _check_iso(h):
     if src.size() != tgt.size():
         raise RuntimeError("conversion map is not an isomorphism (size)")
     inverse = {}
-    for n in src.names():
-        img = h.images[n]
+    for n, img in zip(src.names(), h.img):
         if img.word or img.base in inverse:
             raise RuntimeError("conversion map is not an isomorphism")
         inverse[img.base] = n
-    inv = SimplicialMap(tgt, src, {m: SimplexRef(inverse[m])
-                                   for m in tgt.names()})
+    inv = _positional(tgt, src, tuple(SimplexRef(inverse[m])
+                                      for m in tgt.names()))
     if compose(inv, h) != identity(src) or compose(h, inv) != identity(tgt):
         raise RuntimeError("conversion map is not an isomorphism (inverse)")
     return inv

@@ -294,9 +294,14 @@ def _cmd_we_cert(args):
 
 # ---------------------------------------------------------------------------
 
-def _count(text):
-    """A nonnegative integer flag value; anything else is a usage error,
-    exit 2."""
+# the largest --maxdim: a report prints one group per degree, and every
+# group above an object's dimension is 0
+MAXDIM_LIMIT = 64
+
+
+def _count(text, limit=None):
+    """A nonnegative integer flag value, at most `limit` when one is given;
+    anything else is a usage error, exit 2."""
     try:
         value = int(text)
     except ValueError:
@@ -304,6 +309,9 @@ def _count(text):
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"expected a nonnegative integer, got {text!r}")
+    if limit is not None and value > limit:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {limit}, got {text!r}")
     return value
 
 
@@ -316,6 +324,7 @@ def _build_parser():
         description="finite simplicial sets: colimits, lifting, cell "
                     "presentations, factorizations, homology certificates")
     sub = parser.add_subparsers(dest="command", required=True)
+    maxdim = functools.partial(_count, limit=MAXDIM_LIMIT)
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -376,12 +385,12 @@ def _build_parser():
 
     p = add("homology", _cmd_homology, "integer homology groups")
     p.add_argument("--object", required=True)
-    p.add_argument("--maxdim", type=_count, default=3)
+    p.add_argument("--maxdim", type=maxdim, default=3)
 
     p = add("we-cert", _cmd_we_cert, "weak-equivalence necessary-condition "
                                      "certificate")
     p.add_argument("--map", required=True)
-    p.add_argument("--maxdim", type=_count, default=3)
+    p.add_argument("--maxdim", type=maxdim, default=3)
     return parser
 
 

@@ -15,6 +15,7 @@ from ssetkit.core import (
     SimplicialMap,
     _codegeneracy,
     _mono_compose,
+    _positional,
     _surj_to_word,
     _word_to_surj,
     compose,
@@ -69,7 +70,7 @@ def coproduct(family):
                     for r in s.faces_of(n))
     out = FiniteSimplicialSet(by_dim, faces)
     injections = [
-        SimplicialMap(s, out, {n: SimplexRef(f"i{t}_{n}") for n in s.names()})
+        _positional(s, out, tuple(SimplexRef(f"i{t}_{n}") for n in s.names()))
         for t, s in enumerate(family)]
     return out, injections
 
@@ -86,8 +87,7 @@ def coproduct_induced(cop, injections, maps):
     for inj, m in zip(injections, maps):
         if m.target != target:
             raise ValueError("coproduct_induced: targets disagree")
-        for n in inj.source.names():
-            images[inj.images[n].base] = m.images[n]
+        images.update(zip((ref.base for ref in inj.img), m.img))
     return SimplicialMap(cop, target, images)
 
 
@@ -183,10 +183,11 @@ def pushout(i, g):
                                       for fr in cop.faces_of(r.base))
     corner = FiniteSimplicialSet(by_dim, faces)
 
-    leg_b = SimplicialMap(b, corner, {
-        n: class_nf(inj_b.images[n], b.dim_of(n)) for n in b.names()})
-    leg_c = SimplicialMap(c, corner, {
-        n: class_nf(inj_c.images[n], c.dim_of(n)) for n in c.names()})
+    leg_b = _positional(b, corner, tuple(
+        class_nf(r, b.dim_of(n)) for n, r in zip(b.names(), inj_b.img)))
+    leg_c = _positional(c, corner, tuple(
+        class_nf(r, c.dim_of(n)) for n, r in zip(c.names(), inj_c.img)))
+    del class_nf   # a recursive closure is a reference cycle: break it
 
     strip = {}
     for d in range(dmax + 1):
@@ -208,15 +209,12 @@ def pushout_induced(p, from_b, from_c):
     the cocone is a precondition and is re-verified on the result."""
     if from_b.target != from_c.target:
         raise ValueError("pushout_induced: cocone targets disagree")
-    corner = p.corner
-    images = {}
-    for name in corner.names():
+    img = []
+    for name in p.corner.names():
         froms_b, froms_c = p.provenance[name]
-        if froms_b:
-            images[name] = from_b.images[froms_b[0]]
-        else:
-            images[name] = from_c.images[froms_c[0]]
-    h = SimplicialMap(corner, from_b.target, images)
+        img.append(from_b(SimplexRef(froms_b[0])) if froms_b
+                   else from_c(SimplexRef(froms_c[0])))
+    h = _positional(p.corner, from_b.target, tuple(img))
     if compose(h, p.leg_from_b) != from_b or compose(h, p.leg_from_c) != from_c:
         raise ValueError("pushout_induced: cocone does not commute")
     return h
@@ -271,8 +269,7 @@ def sequential_colimit(inclusions, base=None):
                                  "not match previous target")
             seen = set()
             target = inc.target
-            for n in inc.source.names():
-                img = inc.images[n]
+            for n, img in zip(inc.source.names(), inc.img):
                 if img.word:
                     raise ValueError(f"sequential_colimit: stage {k} map "
                                      f"sends {n} to a degenerate simplex")
@@ -292,6 +289,7 @@ def sequential_colimit(inclusions, base=None):
     # simplex maps onto is born at its own stage
     birth = dict.fromkeys(objects[0].names(), 0)
     for k, inc in enumerate(inclusions, start=1):
-        carried = {inc.images[n].base: birth[n] for n in inc.source.names()}
+        carried = {ref.base: birth[n]
+                   for n, ref in zip(inc.source.names(), inc.img)}
         birth = {n: carried.get(n, k) for n in inc.target.names()}
     return StageRecord(objects, inclusions, birth)

@@ -13,7 +13,8 @@ write-once caches and do not affect equality.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+from types import MappingProxyType
 from typing import NamedTuple
 
 # fixed sizes of the module-level memos, so that none grows without bound:
@@ -106,7 +107,7 @@ class FiniteSimplicialSet:
     crash.  Operations other than `validate` assume a valid object.
     """
 
-    __slots__ = ("_by_dim", "_faces", "_dim_of", "_index_of", "_key", "_hash",
+    __slots__ = ("_by_dim", "_faces", "_dim_of", "_pos", "_key", "_hash",
                  "_act_memo", "_memo")
 
     def __init__(self, simplices=None, faces=None):
@@ -127,12 +128,10 @@ class FiniteSimplicialSet:
             norm_faces[name] = tuple(
                 r if isinstance(r, SimplexRef) else SimplexRef(r) for r in refs)
         self._faces = norm_faces
-        self._dim_of = {}
-        self._index_of = {}
-        for d, names in enumerate(self._by_dim):
-            for idx, name in enumerate(names):
-                self._dim_of[name] = d
-                self._index_of[name] = (d, idx)
+        self._dim_of = {n: d for d, names in enumerate(self._by_dim)
+                        for n in names}
+        self._pos = {n: p for p, n in enumerate(
+            chain.from_iterable(self._by_dim))}
         self._key = (self._by_dim,
                      tuple(sorted(self._faces.items())))
         self._hash = hash(self._key)
@@ -176,10 +175,9 @@ class FiniteSimplicialSet:
         return self._dim_of[ref.base] + len(ref.word)
 
     def ref_key(self, ref):
-        """Total order on references of a fixed dimension: by base dimension,
-        base position, then degeneracy word."""
-        d, idx = self._index_of[ref.base]
-        return (d, idx, ref.word)
+        """Total order on references of a fixed dimension: by base position
+        in `names()` (base dimension, then index), then degeneracy word."""
+        return (self._pos[ref.base], ref.word)
 
     def __eq__(self, other):
         return isinstance(other, FiniteSimplicialSet) and self._key == other._key
@@ -236,33 +234,41 @@ class SimplicialMap:
     """A simplicial map, determined by the images (arbitrary references in
     the target) of the nondegenerate simplices of the source.
 
-    Construction does not check face compatibility; `map_errors` does, and
-    the enumeration and solver routines only ever build compatible maps.
+    `img` holds them in `source.names()` order, None where one is missing;
+    `images` is a read-only view by name.  Construction refuses a name that
+    is not a simplex of the source, but does not check face compatibility;
+    `map_errors` does, and the enumeration and solver routines only ever
+    build compatible maps.
     """
 
-    __slots__ = ("source", "target", "images", "_key", "_hash")
+    __slots__ = ("source", "target", "img", "_hash")
 
     def __init__(self, source, target, images):
+        if not images.keys() <= source._pos.keys():
+            extra = [n for n in images if n not in source._pos]
+            raise ValueError("map: the source has no simplex "
+                             + ", ".join(map(repr, extra)))
         self.source = source
         self.target = target
-        self.images = dict(images)
-        self._key = None
+        self.img = tuple(map(images.get, source.names()))
         self._hash = None
 
-    def _full_key(self):
-        if self._key is None:
-            img = tuple(self.images[n] for n in self.source.names())
-            self._key = (self.source._key, self.target._key, img)
-        return self._key
+    @property
+    def images(self):
+        """The image of each source simplex that has one, by name."""
+        return MappingProxyType({n: r for n, r in zip(
+            self.source.names(), self.img) if r is not None})
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialMap):
             return NotImplemented
-        return self._full_key() == other._full_key()
+        return (self.img == other.img and self.source == other.source
+                and self.target == other.target)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._full_key())
+            self._hash = hash((self.source._hash, self.target._hash,
+                               self.img))
         return self._hash
 
     def __repr__(self):
@@ -270,7 +276,7 @@ class SimplicialMap:
 
     def __call__(self, ref):
         """Image of any reference of the source, in normal form."""
-        img = self.images[ref.base]
+        img = self.img[self.source._pos[ref.base]]
         if not ref.word:
             return img
         g = _word_to_surj(ref.word, self.source.dim_of(ref.base))
@@ -279,13 +285,18 @@ class SimplicialMap:
     def sort_key(self):
         """Lexicographic key by generator images, generators in canonical
         order; the order used for 'least' maps and lifts."""
-        tgt = self.target
-        return tuple(tgt.ref_key(self.images[n]) for n in self.source.names())
+        return tuple(map(self.target.ref_key, self.img))
+
+
+def _positional(source, target, img):
+    """The map with images `img`, a tuple in `source.names()` order."""
+    m = object.__new__(SimplicialMap)
+    m.source, m.target, m.img, m._hash = source, target, img, None
+    return m
 
 
 def _name_inclusion(sub, ambient):
-    return SimplicialMap(sub, ambient,
-                         {name: SimplexRef(name) for name in sub.names()})
+    return _positional(sub, ambient, tuple(map(SimplexRef, sub.names())))
 
 
 def identity(s):
@@ -296,8 +307,7 @@ def compose(g, f):
     """The composite g . f (f first).  Raises on endpoint mismatch."""
     if f.target != g.source:
         raise ValueError("compose: target of first map != source of second")
-    return SimplicialMap(f.source, g.target,
-                         {n: g(r) for n, r in f.images.items()})
+    return _positional(f.source, g.target, tuple(map(g, f.img)))
 
 
 def map_errors(f):
@@ -308,9 +318,8 @@ def map_errors(f):
     issues = []
     src, tgt = f.source, f.target
     bad = set()   # generators whose faces cannot be compared
-    for name in src.names():
+    for name, img in zip(src.names(), f.img):
         d = src.dim_of(name)
-        img = f.images.get(name)
         if img is None:
             issue = f"no image for {name}"
         elif not tgt.has(img.base):
@@ -542,53 +551,56 @@ def extensions(a, x, pins=None, over=None):
     candidates for a generator are the simplices of x whose faces are the
     images already chosen for its faces, looked up in `_face_index`.
 
-    `pins` maps a generator to pairs (alpha, want) that its image h must
-    satisfy: x.act(h, alpha) == want, or h == want when alpha is None.
-    `over` is a pair (f, bottom) of maps x -> y and a -> y; only maps h
-    with f . h == bottom come out.  When exhausted, the generator returns
-    the count of refuted candidates: |x_d| summed over the search nodes
-    visited, degenerate d-simplices included.
+    `pins` maps the position of a generator in `a.names()` to pairs
+    (alpha, want) that its image h must satisfy: x.act(h, alpha) == want,
+    or h == want when alpha is None.  `over` is a pair (f, bottom) of maps
+    x -> y and a -> y; only maps h with f . h == bottom come out.  When
+    exhausted, the generator returns the count of refuted candidates: |x_d|
+    summed over the search nodes visited, degenerate d-simplices included.
     """
     pins = pins or {}
-    gens = list(a.names())
-    images = {}
+    gens = tuple(a.names())
+    pos = a._pos
+    # the images on the current path; a face's is chosen before it is read
+    chosen = [None] * len(gens)
     refuted = 0
 
-    def candidates(name):
+    def candidates(t):
         nonlocal refuted
+        name = gens[t]
         d = a.dim_of(name)
         pool = enumerate_simplices(x, d)
         refuted += len(pool)
         if d:
-            key = tuple(images[r.base] if not r.word else x.act(
-                images[r.base], _word_to_surj(r.word, a.dim_of(r.base)))
+            key = tuple(chosen[pos[r.base]] if not r.word else x.act(
+                chosen[pos[r.base]], _word_to_surj(r.word, a.dim_of(r.base)))
                 for r in a.faces_of(name))
             pool = _face_index(x, d).get(key, ())
-        for alpha, want in pins.get(name, ()):
+        for alpha, want in pins.get(t, ()):
             if alpha is None:
                 pool = (want,) if want in pool else ()
             else:
                 pool = [h for h in pool if x.act(h, alpha) == want]
         if over is not None:
-            f, below = over[0], over[1].images[name]
+            f, below = over[0], over[1].img[t]
             pool = [h for h in pool if f(h) == below]
         return pool
 
     # cands[t] lists the candidates for generator t on the current path,
-    # and pos[t] is the next one to try
-    cands = [candidates(gens[0])] if gens else []
-    pos = [0] * len(gens)
+    # and nxt[t] is the next one to try
+    cands = [candidates(0)] if gens else []
+    nxt = [0] * len(gens)
     t = 0
     while t >= 0:
         if t == len(gens):
-            yield SimplicialMap(a, x, images)
-        elif pos[t] < len(cands[t]):
-            images[gens[t]] = cands[t][pos[t]]
-            pos[t] += 1
+            yield _positional(a, x, tuple(chosen))
+        elif nxt[t] < len(cands[t]):
+            chosen[t] = cands[t][nxt[t]]
+            nxt[t] += 1
             t += 1
             if t < len(gens):
-                cands[t:] = [candidates(gens[t])]
-                pos[t] = 0
+                cands[t:] = [candidates(t)]
+                nxt[t] = 0
             continue
         t -= 1
     return refuted

@@ -96,18 +96,14 @@ class FactorizationResult:
         return self.left.target
 
 
-def _key(m):
-    return tuple(m.images[n] for n in m.source.names())
-
-
 def _early(sq, stage):
     """Whether the square's top lies in the stage `stage` ran against."""
-    return all(stage.w.has(ref.base) for ref in sq.top.images.values())
+    return all(stage.w.has(ref.base) for ref in sq.top.img)
 
 
 def _witness_index(stage):
     """The stage's witnesses by (label, top, bottom) key."""
-    return {(label, _key(sq.top), _key(sq.bottom)): w
+    return {(label, sq.top.img, sq.bottom.img): w
             for (label, sq), w in zip(stage.squares, stage.witnesses)}
 
 
@@ -119,7 +115,7 @@ def _diagonals(squares, prev):
     out = []
     for label, sq in squares:
         if carried is not None and _early(sq, prev):
-            out.append(carried[(label, _key(sq.top), _key(sq.bottom))])
+            out.append(carried[(label, sq.top.img, sq.bottom.img)])
         else:
             found = solve_lift(sq)
             out.append(found.diagonal if isinstance(found, Lift) else None)
@@ -217,7 +213,7 @@ def _checks(result):
     index = _witness_index(stages[-1]) if stages else {}
     for label, gen in generator_family(result.kind, result.cap):
         for sq in enumerate_squares(gen, result.right):
-            w = index.get((label, _key(sq.top), _key(sq.bottom)))
+            w = index.get((label, sq.top.img, sq.bottom.img))
             final.append((label, sq, lifts(last, len(final), sq, w)))
     return wrong, failures, final
 

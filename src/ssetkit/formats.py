@@ -206,8 +206,8 @@ def _print_object(name, s, out):
 
 def _print_map(name, f, src_name, tgt_name, out):
     out.append(f"map {name} : {src_name} -> {tgt_name}")
-    for n in f.source.names():
-        out.append(f"  {n} -> {_print_ref(f.images[n])}")
+    for n, ref in zip(f.source.names(), f.img):
+        out.append(f"  {n} -> {_print_ref(ref)}")
 
 
 def print_document(doc):

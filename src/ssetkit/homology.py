@@ -364,11 +364,12 @@ def chain_map(f):
     the map."""
     src, tgt = _chains(f.source), _chains(f.target)
     out = {}
+    images = iter(f.img)   # the bases list the source's names in order
     for d, names in enumerate(src[0]):
         tindex = {n: i for i, n in enumerate(tgt[0][d])} \
             if d < len(tgt[0]) else {}
         out[d] = [{} if img.word else {tindex[img.base]: 1}
-                  for img in (f.images[name] for name in names)]
+                  for _, img in zip(names, images)]
     return src, tgt, out
 
 
@@ -449,8 +450,9 @@ def weak_equivalence_certificate(f, maxdim=3):
         for v in comp:
             rep[v] = idx
     targets = []
+    images = f.images
     for comp in comp_src:
-        image = {rep[f.images[v].base] for v in comp}
+        image = {rep[images[v].base] for v in comp}
         if len(image) != 1:
             raise RuntimeError("component map is not well defined")
         targets.append(image.pop())
@@ -459,7 +461,8 @@ def weak_equivalence_certificate(f, maxdim=3):
             False, maxdim,
             ("pi0", f"{len(comp_src)} components vs {len(comp_tgt)}"))
     cone = mapping_cone(f)
-    for d in range(maxdim + 1):
+    # every group above the cone's top degree is 0
+    for d in range(min(maxdim, cone.dims()) + 1):
         group = homology_of_complex(cone, d)
         if not group.trivial:
             return Certificate(False, maxdim, (f"H{d}", str(group)))

@@ -72,16 +72,16 @@ def verify_lift(problem, diagonal):
 
 
 def _pins(i, wants):
-    """Pins for `extensions` on maps h out of i.target with h . i = wants:
-    for each generator u of i.target, the pairs (alpha, want) with
+    """Pins for `extensions` on maps h out of i.target with h . i = wants,
+    where `wants` is a tuple of images in `i.source.names()` order: for the
+    position of each generator u of i.target, the pairs (alpha, want) with
     i(a) = u . alpha and wants(a) = want."""
     b = i.target
     pins = {}
-    for name in i.source.names():
-        ref = i.images[name]
+    for ref, want in zip(i.img, wants):
         alpha = (_word_to_surj(ref.word, b.dim_of(ref.base))
                  if ref.word else None)
-        pins.setdefault(ref.base, []).append((alpha, wants[name]))
+        pins.setdefault(b._pos[ref.base], []).append((alpha, want))
     return pins
 
 
@@ -89,7 +89,7 @@ def solve_lift(problem):
     """Decide a lifting problem.  Returns the least diagonal in the
     lexicographic map order, or NoLift with search statistics."""
     i, f = problem.left, problem.right
-    search = extensions(i.target, f.source, _pins(i, problem.top.images),
+    search = extensions(i.target, f.source, _pins(i, problem.top.img),
                         over=(f, problem.bottom))
     try:
         return Lift(next(search))
@@ -114,14 +114,12 @@ def enumerate_squares(i, f):
     to commute, once per distinct f . top."""
     out = []
     bottoms = {}
-    names = tuple(i.source.names())
     for top in enumerate_maps(i.source, f.source):
         wants = compose(f, top)
-        key = tuple(wants.images[name] for name in names)
-        found = bottoms.get(key)
+        found = bottoms.get(wants.img)
         if found is None:
-            found = bottoms[key] = tuple(
-                extensions(i.target, f.target, _pins(i, wants.images)))
+            found = bottoms[wants.img] = tuple(
+                extensions(i.target, f.target, _pins(i, wants.img)))
             for bottom in found:
                 if compose(bottom, i) != wants:
                     raise ValueError("lifting problem: square does not "

@@ -7,7 +7,7 @@ import pytest
 
 import ssetkit
 from ssetkit import cells
-from ssetkit.cli import _build_parser, main
+from ssetkit.cli import MAXDIM_LIMIT, _build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -381,3 +381,33 @@ class TestCountFlags:
                             "--object", "circle", "--maxdim", "0")
         assert (code, out) == (0, "homology object=circle maxdim=0\n"
                                   "H0 = Z\n")
+
+
+class TestMaxdimLimit:
+    """`--maxdim` is refused above `MAXDIM_LIMIT` while the arguments are
+    parsed: exit 2, no traceback, nothing computed."""
+
+    CASES = [["homology", str(DATA / "homology.sset"), "--object", "circle"],
+             ["we-cert", str(DATA / "homology.sset"), "--map", "horn_inc"]]
+
+    def test_the_limit_is_the_documented_one(self):
+        # the README and the CI's console-script step name this value
+        assert MAXDIM_LIMIT == 64
+
+    @pytest.mark.parametrize("argv", CASES, ids=["homology", "we-cert"])
+    def test_just_above_the_limit_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--maxdim", str(MAXDIM_LIMIT + 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"argument --maxdim: expected at most {MAXDIM_LIMIT}, got "
+                f"'{MAXDIM_LIMIT + 1}'") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,code", zip(CASES, (0, 0)),
+                             ids=["homology", "we-cert"])
+    def test_the_limit_is_accepted(self, capsys, argv, code):
+        got, out = run_cli(capsys, *argv, "--maxdim", str(MAXDIM_LIMIT))
+        assert got == code
+        if argv[0] == "homology":
+            assert out.splitlines()[-1] == f"H{MAXDIM_LIMIT} = 0"

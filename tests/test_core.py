@@ -335,6 +335,23 @@ class TestMapErrors:
     def test_faces_over_a_bad_image_are_not_compared(self):
         f = SimplicialMap(simplex(2), simplex(0), {
             n: SimplexRef("0", tuple(range(len(n) - 2, -1, -1)))
-            for n in simplex(2).names()})
-        del f.images["1"]
+            for n in simplex(2).names() if n != "1"})
+        assert map_errors(f) == ["no image for 1"]
+
+    def test_extra_image_names_are_refused(self):
+        # a name that is not a simplex of the source was kept, compared
+        # equal to the identity and carried along by compose
+        with pytest.raises(ValueError, match="source has no simplex 'zz'"):
+            SimplicialMap(simplex(0), simplex(0),
+                          {"0": SimplexRef("0"), "zz": SimplexRef("0")})
+        with pytest.raises(ValueError, match="'1', '01'"):
+            SimplicialMap(simplex(0), simplex(1),
+                          {"0": SimplexRef("0"), "1": SimplexRef("1"),
+                           "01": SimplexRef("01")})
+
+    def test_a_missing_image_is_allowed_and_reported(self):
+        f = SimplicialMap(simplex(1), simplex(1),
+                          {"0": SimplexRef("0"), "01": SimplexRef("01")})
+        assert f.img == (SimplexRef("0"), None, SimplexRef("01"))
+        assert "1" not in f.images and f.images.get("1") is None
         assert map_errors(f) == ["no image for 1"]

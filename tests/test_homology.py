@@ -245,6 +245,35 @@ class TestCertificate:
         for d in range(4):
             assert homology_of_complex(cone, d).trivial
 
+    def test_degree_loop_stops_at_the_cone_top(self, monkeypatch):
+        # every group above the cone's top degree is 0: a large maxdim
+        # reads no degree above it and gives the verdict of reading all
+        maps = [f for a in SMALL_POOL for x in SMALL_POOL
+                for f in enumerate_maps(a, x)[:3]]
+        degrees = []
+        read = homology_module.homology_of_complex
+
+        def spy(cx, d):
+            degrees.append(d)
+            return read(cx, d)
+
+        monkeypatch.setattr(homology_module, "homology_of_complex", spy)
+        failures = set()
+        for f in maps:
+            degrees.clear()
+            cert = weak_equivalence_certificate(f, 64)
+            failures.add(cert.failure and cert.failure[0])
+            if cert.failure and cert.failure[0] == "pi0":
+                continue
+            cone = mapping_cone(f)
+            assert max(degrees, default=0) <= cone.dims()
+            groups = [read(cone, d) for d in range(65)]
+            bad = [(f"H{d}", str(g)) for d, g in enumerate(groups)
+                   if not g.trivial]
+            assert cert.passed == (not bad)
+            assert cert.failure == (bad[0] if bad else None)
+        assert {None, "pi0", "H1", "H2"} <= failures
+
 
 # ---------------------------------------------------------------------------
 # The sparse reduction against the dense code it replaced
