@@ -1,19 +1,22 @@
 """Exact finite colimits: coproducts, pushouts, and sequential colimits.
 
-A pushout is computed dimensionwise: the simplices of the corner in each
-dimension are equivalence classes of simplices of the coproduct, where the
-relation is generated by identifying the two images of every simplex of the
-gluing object.  Because that generating family is closed under all
-simplicial operators, its dimensionwise equivalence closure is already a
-simplicial congruence, so a per-dimension union-find gives the exact
-quotient.  Normal forms of classes are re-extracted afterwards.
+A pushout of i: A -> B along g: A -> C is the quotient of B + C by the
+congruence generated by i(a) ~ g(a), and rests on two facts.  Only
+simplices that some simplex of A glues can share a class, so one
+union-find over the pairs i(a) ~ g(a), degenerate a included, is the whole
+congruence; every other simplex is a class by itself.  And the quotient map
+is simplicial, so the class of s_w x is s_w applied to the class of x: a
+normal form is read by stepping from a simplex in a degenerate class to
+the base of that class's least degenerate member and composing the
+degeneracies met on the way, which by Eilenberg-Zilber uniqueness does not
+depend on the member.  Which simplices of B and C lie over a corner
+simplex is read off the two legs.
 """
 
 from ssetkit.core import (
     FiniteSimplicialSet,
     SimplexRef,
     SimplicialMap,
-    _codegeneracy,
     _mono_compose,
     _positional,
     _surj_to_word,
@@ -114,92 +117,61 @@ class PushoutResult:
 
 def pushout(i, g):
     """Pushout of i: A -> B along g: A -> C.  The corner is the quotient of
-    B + C by the congruence generated by i(a) ~ g(a)."""
+    B + C by the congruence generated by i(a) ~ g(a), a nondegenerate class
+    named after its least member."""
     if i.source != g.source:
         raise ValueError("pushout: the two maps must share a source")
-    a = i.source
     b, c = i.target, g.target
     cop, (inj_b, inj_c) = coproduct([b, c])
-    ib = compose(inj_b, i)
-    ic = compose(inj_c, g)
-    dmax = max(b.dim, c.dim)
+    ib, ic = compose(inj_b, i), compose(inj_c, g)
+    glued = _DisjointSet()
+    for d in range(cop.dim + 1):
+        for aref in enumerate_simplices(i.source, d):
+            glued.union(ib(aref), ic(aref))
+    classes = {}
+    for ref in glued.parent:
+        classes.setdefault(glued.find(ref), []).append(ref)
+    # a glued simplex steps to its class's least degenerate member, or to
+    # its least member when no member is degenerate
+    step = {}
+    for refs in classes.values():
+        least = min(refs, key=lambda r: (not r.word, cop.ref_key(r)))
+        step.update((r.base, least) for r in refs if not r.word)
 
-    uf = {d: _DisjointSet() for d in range(dmax + 1)}
-    members = {d: {} for d in range(dmax + 1)}
-    for d in range(dmax + 1):
-        for ref in enumerate_simplices(cop, d):
-            uf[d].find(ref)
-        for aref in enumerate_simplices(a, d):
-            uf[d].union(ib(aref), ic(aref))
-        for ref in enumerate_simplices(cop, d):
-            members[d].setdefault(uf[d].find(ref), []).append(ref)
+    def class_nf(ref):
+        """Normal form, in corner names, of the class of a coproduct ref:
+        the quotient map is simplicial, so it carries the degeneracies of
+        ref and of each degenerate member stepped through."""
+        to = step.get(ref.base)
+        if to is None:
+            return ref
+        surj = _word_to_surj(ref.word, cop.dim_of(ref.base))
+        while to.word:
+            surj = _mono_compose(_word_to_surj(to.word, cop.dim_of(to.base)),
+                                 surj)
+            to = step.get(to.base) or SimplexRef(to.base)
+        return SimplexRef(to.base, _surj_to_word(surj))
 
-    # Class naming: a class is nondegenerate iff none of its members is a
-    # degenerate reference; it is then named after its least member.
-    class_name = {}
-    nondeg_classes = {d: [] for d in range(dmax + 1)}
-    for d in range(dmax + 1):
-        for root, refs in members[d].items():
-            if any(r.word for r in refs):
-                continue
-            least = min(refs, key=cop.ref_key)
-            class_name[(d, root)] = least.base
-            nondeg_classes[d].append(least)
-        nondeg_classes[d].sort(key=cop.ref_key)
+    # a simplex names its class when it is the least member; the base of a
+    # degenerate member has a lower dimension
+    by_dim = {d: [n for n in cop.simplices(d)
+                  if n not in step or step[n].base == n]
+              for d in range(cop.dim + 1)}
+    corner = FiniteSimplicialSet(by_dim, {
+        n: tuple(map(class_nf, cop.faces_of(n)))
+        for d in range(1, cop.dim + 1) for n in by_dim[d]})
+    legs = [_positional(s, corner, tuple(map(class_nf, inj.img)))
+            for s, inj in ((b, inj_b), (c, inj_c))]
 
-    nf_memo = {}
-
-    def class_nf(ref, d):
-        """Normal form, in corner names, of the class of a coproduct ref."""
-        root = uf[d].find(ref)
-        key = (d, root)
-        out = nf_memo.get(key)
-        if out is not None:
-            return out
-        name = class_name.get(key)
-        if name is not None:
-            out = SimplexRef(name)
-        else:
-            # the class is degenerate: peel one degeneracy off its least
-            # degenerate member and recurse
-            cand = min((r for r in members[d][root] if r.word),
-                       key=cop.ref_key)
-            inner = class_nf(SimplexRef(cand.base, cand.word[1:]), d - 1)
-            gi = _word_to_surj(inner.word, cop.dim_of(inner.base))
-            comp = _mono_compose(gi, _codegeneracy(cand.word[0], d - 1))
-            out = SimplexRef(inner.base, _surj_to_word(comp))
-        nf_memo[key] = out
-        return out
-
-    by_dim = {}
-    faces = {}
-    for d in range(dmax + 1):
-        names = [r.base for r in nondeg_classes[d]]
-        if names:
-            by_dim[d] = names
-        if d >= 1:
-            for r in nondeg_classes[d]:
-                faces[r.base] = tuple(class_nf(fr, d - 1)
-                                      for fr in cop.faces_of(r.base))
-    corner = FiniteSimplicialSet(by_dim, faces)
-
-    leg_b = _positional(b, corner, tuple(
-        class_nf(r, b.dim_of(n)) for n, r in zip(b.names(), inj_b.img)))
-    leg_c = _positional(c, corner, tuple(
-        class_nf(r, c.dim_of(n)) for n, r in zip(c.names(), inj_c.img)))
-    del class_nf   # a recursive closure is a reference cycle: break it
-
-    strip = {}
-    for d in range(dmax + 1):
-        for r in nondeg_classes[d]:
-            froms_b, froms_c = [], []
-            for m in members[d][uf[d].find(r)]:
-                if m.word:
-                    continue
-                tag, _, orig = m.base.partition("_")
-                (froms_b if tag == "i0" else froms_c).append(orig)
-            strip[r.base] = (tuple(froms_b), tuple(froms_c))
-    return PushoutResult(corner, leg_b, leg_c, strip)
+    # B's simplex n lies over the corner simplex m iff its leg sends n to m
+    # with no degeneracy; the same for C
+    provenance = {m: ([], []) for m in corner.names()}
+    for t, (s, leg) in enumerate(zip((b, c), legs)):
+        for n, ref in zip(s.names(), leg.img):
+            if not ref.word:
+                provenance[ref.base][t].append(n)
+    return PushoutResult(corner, *legs, {
+        m: tuple(map(tuple, froms)) for m, froms in provenance.items()})
 
 
 def pushout_induced(p, from_b, from_c):

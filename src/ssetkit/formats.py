@@ -9,6 +9,9 @@ sset/1 — objects and maps:
     map NAME : SRC -> TGT
       gen -> ref                   # one line per nondegenerate simplex
 
+A second faces line or image line for the same name, or a faces line for a
+name that no dim line of its object declares, is a FormatError.
+
 A ref is either `name` (nondegenerate) or `s[i,j,...]·name` with a strictly
 decreasing degeneracy word.  Names match [A-Za-z0-9_.]+.  Blank lines and
 `#` comments are ignored when parsing; the printer emits a canonical layout
@@ -110,13 +113,18 @@ def _strip(lines):
 
 def _parse_sset_lines(lines, doc):
     """Parse sset/1 body lines (header already consumed) into `doc`."""
-    cur_obj = None      # (name, {dim: names}, {name: refs})
+    cur_obj = None      # (name, {dim: names}, {name: refs}, {name: line})
     cur_map = None      # (name, src, tgt, images)
 
     def close_obj():
         nonlocal cur_obj
         if cur_obj:
-            name, dims, faces = cur_obj
+            name, dims, faces, faces_no = cur_obj
+            declared = {n for names in dims.values() for n in names}
+            for n, no in faces_no.items():
+                if n not in declared:
+                    raise FormatError(no, f"faces line for {n!r}, which no "
+                                      f"dim line of object {name!r} declares")
             doc.objects[name] = FiniteSimplicialSet(dims, faces)
             cur_obj = None
 
@@ -141,7 +149,7 @@ def _parse_sset_lines(lines, doc):
             close_map()
             if m.group(1) in doc.objects:
                 raise FormatError(no, f"duplicate object {m.group(1)!r}")
-            cur_obj = (m.group(1), {}, {})
+            cur_obj = (m.group(1), {}, {}, {})
             continue
         m = _MAP_RE.match(body)
         if m and not indented:
@@ -163,8 +171,13 @@ def _parse_sset_lines(lines, doc):
                 continue
             m = _FACES_RE.match(body)
             if m:
-                refs = [_parse_ref(t, no) for t in m.group(2).split()]
-                cur_obj[2][m.group(1)] = refs
+                name = m.group(1)
+                if name in cur_obj[2]:
+                    raise FormatError(no, "duplicate faces line for "
+                                      f"{name!r}")
+                cur_obj[2][name] = [_parse_ref(t, no)
+                                    for t in m.group(2).split()]
+                cur_obj[3][name] = no
                 continue
             raise FormatError(no, f"bad object line {body!r}")
         if indented and cur_map:
@@ -174,6 +187,8 @@ def _parse_sset_lines(lines, doc):
                 if not cur_map[2].has(gen):
                     raise FormatError(no, f"{gen!r} is not a simplex of the "
                                       "source object")
+                if gen in cur_map[5]:
+                    raise FormatError(no, f"duplicate image line for {gen!r}")
                 cur_map[5][gen] = _parse_ref(m.group(2), no)
                 continue
             raise FormatError(no, f"bad map line {body!r}")

@@ -9,10 +9,11 @@ no-silent-overflow policy holds by construction.
 Boundary maps are stored as sparse integer columns.  Each is reduced once
 per chain complex: unit pivots are eliminated on the sparse columns, and
 only the block that is left goes through the dense Smith normal form.
-`homology_groups` reduces from the top degree down with clearing: a column
-whose cell was a unit pivot row one degree up reduces to zero and is
-skipped.  Clearing rests on boundary . boundary = 0, which every
-`ChainComplex` checks when it is built (see `ChainComplex`).
+`homology_groups` and the certificate's mapping cone reduce from the top
+degree down with clearing: a column whose cell was a unit pivot row one
+degree up reduces to zero and is skipped.  Clearing rests on
+boundary . boundary = 0, which every `ChainComplex` checks when it is built
+(see `ChainComplex`).
 
 The certificate checks (a) a bijection on path components and (b) acyclicity
 of the algebraic mapping cone in degrees 0..maxdim, which decides that the
@@ -345,13 +346,18 @@ def homology(s, d):
     return homology_of_complex(chain_complex(s), d)
 
 
-def homology_groups(s, maxdim):
-    """H_0 .. H_maxdim.  The boundary maps are reduced from the top degree
-    down, so that each reduction skips the columns cleared above it."""
-    cx = chain_complex(s)
+def _groups(cx, maxdim):
+    """H_0 .. H_maxdim of a chain complex.  The boundary maps are reduced
+    from the top degree down, so that each reduction skips the columns
+    cleared above it."""
     for d in range(min(maxdim, cx.dims()) + 1, 0, -1):
         cx.factors(d)
     return [homology_of_complex(cx, d) for d in range(maxdim + 1)]
+
+
+def homology_groups(s, maxdim):
+    """H_0 .. H_maxdim of a finite simplicial set."""
+    return _groups(chain_complex(s), maxdim)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +468,7 @@ def weak_equivalence_certificate(f, maxdim=3):
             ("pi0", f"{len(comp_src)} components vs {len(comp_tgt)}"))
     cone = mapping_cone(f)
     # every group above the cone's top degree is 0
-    for d in range(min(maxdim, cone.dims()) + 1):
-        group = homology_of_complex(cone, d)
+    for d, group in enumerate(_groups(cone, min(maxdim, cone.dims()))):
         if not group.trivial:
             return Certificate(False, maxdim, (f"H{d}", str(group)))
     return Certificate(True, maxdim)

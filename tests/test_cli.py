@@ -43,6 +43,9 @@ class TestGolden:
          ["j2i", str(DATA / "horn_fill.cellpres")]),
         ("factor_stage_circle.txt", 0,
          ["factor-stage", str(DATA / "circle.cellpres"), "--map", "probe"]),
+        ("pushout_collapse.txt", 0,
+         ["pushout", str(DATA / "pushout_collapse.sset"),
+          "--i", "edge", "--g", "collapse"]),
     ]
 
     @pytest.mark.parametrize("golden,expected_code,argv",
@@ -103,6 +106,16 @@ class TestExitCodes:
         main(["validate", str(bad)])
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["hom", "--source", "A", "--target", "A", "--count"]],
+        ids=["validate", "hom"])
+    def test_conflicting_faces_lines_are_input_error(self, capsys, argv):
+        code = main([argv[0], str(DATA / "duplicate_faces.sset")] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "line 9: duplicate faces line for 'e'" in captured.err
 
     def test_unknown_map_is_input_error(self, capsys):
         code, _ = run_cli(capsys, "rlp", str(DATA / "rlp_boundary.sset"),

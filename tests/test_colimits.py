@@ -9,6 +9,7 @@ from ssetkit.core import (
     compose,
     empty_sset,
     enumerate_maps,
+    horn,
     identity,
     is_map,
     simplex,
@@ -21,6 +22,9 @@ from ssetkit.colimits import (
     pushout_induced,
     sequential_colimit,
 )
+
+from instances import SMALL_POOL
+from naive_pushout import pushout as naive_pushout
 
 
 def edge_collapse():
@@ -128,6 +132,50 @@ class TestPushout:
             imgs = [p.leg_from_c.images[n] for n in g.target.names()]
             assert all(not r.word for r in imgs)
             assert len(set(imgs)) == len(imgs)
+
+
+def _ends(hom):
+    """The first and the last map of a hom-set, once each."""
+    return hom[:1] + hom[1:][-1:]
+
+
+def _oracle_cases():
+    """(i, g) pairs: every triple from SMALL_POOL with the first and last
+    map of each hom-set; every map into the 2- and 3-simplex, collapsing
+    ones included, glued to the point, to the interval and to itself; an
+    empty A; and B == C."""
+    for a in SMALL_POOL:
+        for b in SMALL_POOL:
+            for i in _ends(enumerate_maps(a, b)):
+                for c in SMALL_POOL:
+                    for g in _ends(enumerate_maps(a, c)):
+                        yield i, g
+    for n in (2, 3):
+        for a in (simplex(1), simplex(2), boundary(2), horn(2, 1)):
+            for i in enumerate_maps(a, simplex(n)):
+                yield i, enumerate_maps(a, simplex(0))[0]
+                yield i, enumerate_maps(a, simplex(1))[-1]
+                yield i, i
+    empty = empty_sset()
+    yield (SimplicialMap(empty, boundary(2), {}),
+           SimplicialMap(empty, simplex(3), {}))
+    homs = enumerate_maps(simplex(1), boundary(2))
+    for i in homs:
+        yield i, homs[0]
+
+
+class TestPushoutOracle:
+    def test_matches_the_earlier_pushout(self):
+        for i, g in _oracle_cases():
+            got, want = pushout(i, g), naive_pushout(i, g)
+            assert got.corner == want.corner
+            assert list(got.corner.names()) == list(want.corner.names())
+            assert got.leg_from_b == want.leg_from_b
+            assert got.leg_from_c == want.leg_from_c
+            assert list(got.provenance.items()) == \
+                list(want.provenance.items())
+            assert [got.origin(n) for n in got.corner.names()] == \
+                [want.origin(n) for n in want.corner.names()]
 
 
 class TestPushoutInduced:

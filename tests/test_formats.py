@@ -121,6 +121,26 @@ object BAD
         doc = parse_document(text)
         assert not validate(doc.objects["BAD"]).ok
 
+    @pytest.mark.parametrize("old,new,line_no,message", [
+        ("  faces e: y x\n", "  faces e: y x\n  faces e: x x\n", 7,
+         "duplicate faces line for 'e'"),
+        ("  x -> p\n", "  x -> p\n  x -> p\n", 13,
+         "duplicate image line for 'x'"),
+        ("  dim 0: p\n", "  dim 0: p\n  faces zz: p p\n", 10,
+         "faces line for 'zz', which no dim line of object 'P' declares"),
+    ], ids=["faces", "image", "undeclared"])
+    def test_conflicting_lines_are_refused(self, old, new, line_no, message):
+        # the second line, or the stray one, is named; none of them can
+        # silently win or change the object
+        with pytest.raises(FormatError, match=message) as err:
+            parse_document(SAMPLE.replace(old, new))
+        assert err.value.line_no == line_no
+
+    def test_faces_line_may_precede_its_dim_line(self):
+        text = SAMPLE.replace("  dim 1: e\n  faces e: y x\n",
+                              "  faces e: y x\n  dim 1: e\n")
+        assert parse_document(text).objects == parse_document(SAMPLE).objects
+
 
 GHOST_BASE = """cellpres/1
 base base

@@ -153,18 +153,35 @@ def test_refutation_count_matches_on_unsolvable_squares():
 
 
 def test_pins_and_over_filter_the_search():
-    # extensions of the boundary inclusion of Delta^1 into the circle,
-    # pinned at both ends: the degenerate edge and the loop
-    i = core.boundary_inclusion(1)
-    x = circle()
-    pins = {"0": [(None, SimplexRef("v"))], "1": [(None, SimplexRef("v"))]}
-    found = list(extensions(i.target, x, pins))
-    assert [h.images["01"] for h in found] == [SimplexRef("v", (0,)),
-                                               SimplexRef("e")]
-    # over the collapse to a point, nothing more is excluded
-    f = enumerate_maps(x, simplex(0))[0]
-    bottom = enumerate_maps(simplex(1), simplex(0))[0]
-    assert list(extensions(i.target, x, pins, over=(f, bottom))) == found
+    # maps Delta^1 -> x, where x has vertices a and b, a loop l at a and
+    # two edges f, g from a to b.  Pins are keyed by the position of a
+    # generator in Delta^1's names: 0 and 1 are its vertices, 2 its edge
+    a, b = SimplexRef("a"), SimplexRef("b")
+    x = FiniteSimplicialSet({0: ["a", "b"], 1: ["l", "f", "g"]},
+                            {"l": [a, a], "f": [b, a], "g": [b, a]})
+    assert len(enumerate_maps(simplex(1), x)) == 5
+
+    def edges(pins=None, over=None):
+        return [h.images["01"]
+                for h in extensions(simplex(1), x, pins, over)]
+
+    at_a = {0: [(None, a)], 1: [(None, a)]}
+    assert edges(at_a) == [SimplexRef("a", (0,)), SimplexRef("l")]
+    # pins through operators: the edge runs from a to b
+    assert edges({2: [((0,), a), ((1,), b)]}) == [SimplexRef("f"),
+                                                  SimplexRef("g")]
+    # over the map to Delta^1 that sends a to 0 and b to 1, the pin on
+    # vertex 0 and the bottom map pick the edges out of a
+    to_interval = SimplicialMap(x, simplex(1), {
+        "a": SimplexRef("0"), "b": SimplexRef("1"),
+        "l": SimplexRef("0", (0,)), "f": SimplexRef("01"),
+        "g": SimplexRef("01")})
+    over_id = (to_interval, identity(simplex(1)))
+    assert edges({0: [(None, a)]}, over_id) == [SimplexRef("f"),
+                                                SimplexRef("g")]
+    constant = enumerate_maps(simplex(1), simplex(1))[0]
+    assert edges({0: [(None, a)]}, (to_interval, constant)) == \
+        [SimplexRef("a", (0,)), SimplexRef("l")]
 
 
 def test_exhausted_search_returns_its_refutation_count():
