@@ -29,7 +29,6 @@ from ssetkit.core import ValidationReport, compose
 from ssetkit.cells import PresentationBuilder, realize
 from ssetkit.lifting import (
     Lift,
-    LiftingProblem,
     _commuting,
     enumerate_squares,
     generator_family,
@@ -196,9 +195,7 @@ def _checks(result):
             return True
         if w is not None:
             wrong.append((k, idx))
-        if k < last:
-            # a pushed square is checked before it is searched
-            sq = LiftingProblem(sq.left, sq.right, sq.top, sq.bottom)
+        # a pushed square that does not commute has no lift
         return isinstance(solve_lift(sq), Lift)
 
     for k, stage in enumerate(stages[:-1]):

@@ -125,6 +125,9 @@ def _parse_sset_lines(lines, doc):
                 if n not in declared:
                     raise FormatError(no, f"faces line for {n!r}, which no "
                                       f"dim line of object {name!r} declares")
+                if n in dims.get(0, ()):
+                    raise FormatError(no, f"faces line for {n!r}, a vertex "
+                                      f"of object {name!r}")
             doc.objects[name] = FiniteSimplicialSet(dims, faces)
             cur_obj = None
 

@@ -15,6 +15,13 @@ degree up reduces to zero and is skipped.  Clearing rests on
 boundary . boundary = 0, which every `ChainComplex` checks when it is built
 (see `ChainComplex`).
 
+`smith_normal_form` has one pivot rule.  Each pass takes the least nonzero
+|entry| of the block left as the pivot, moves it to (t, t) and reduces row
+and column t by floor division.  A nonzero remainder starts another pass
+with a strictly smaller pivot, and so does a block entry the pivot does
+not divide, once its row is added to row t.  The pivots only shrink, so
+the passes end, and the entries of the unimodular witnesses stay small.
+
 The certificate checks (a) a bijection on path components and (b) acyclicity
 of the algebraic mapping cone in degrees 0..maxdim, which decides that the
 induced maps on H_d are isomorphisms for d < maxdim and epimorphisms at
@@ -220,82 +227,61 @@ class SNFResult:
 
 
 def smith_normal_form(m):
-    """Diagonalize an integer matrix by unimodular row and column operations.
-    Exact arbitrary-precision arithmetic throughout."""
+    """Diagonalize an integer matrix by unimodular row and column operations,
+    in exact arithmetic.  Each pass at (t, t) pivots on the least nonzero
+    |entry| of the block that is left (see the module docstring)."""
     a = [row[:] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
-    def row_op(i, j, q):
-        # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+    def add(i, j, q, row):
+        # row (or column) i += q * row (or column) j, in a and its witness
+        if row:
+            for w in (a, u):
+                w[i] = [x + q * y for x, y in zip(w[i], w[j])]
+        else:
+            for w in a + v:
+                w[i] += q * w[j]
 
-    def col_op(i, j, q):
-        # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+    def swap(i, j, row):
+        if row:
+            for w in (a, u):
+                w[i], w[j] = w[j], w[i]
+        else:
+            for w in a + v:
+                w[i], w[j] = w[j], w[i]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    def pivot_pass(t):
+        # one pass at (t, t); True when another pass at t is needed
+        block = [(abs(a[i][j]), i, j) for i in range(t, rows)
+                 for j in range(t, cols) if a[i][j]]
+        if not block:
+            return False
+        _, i, j = min(block)
+        swap(t, i, True)
+        swap(t, j, False)
+        p = a[t][t]
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                add(i, t, -(a[i][t] // p), True)
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                add(j, t, -(a[t][j] // p), False)
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
+            return True
+        for i in range(t + 1, rows):
+            if any(x % p for x in a[i][t + 1:]):
+                add(t, i, 1, True)
+                return True
+        return False
 
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                val = abs(a[i][j])
-                if val and (best is None or val < best):
-                    best, pivot = val, (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                # enforce divisibility of the remaining block by the pivot
-                for i in range(t + 1, rows):
-                    bad = next((j for j in range(t + 1, cols)
-                                if a[i][j] % a[t][t]), None)
-                    if bad is not None:
-                        row_op(t, i, -1)
-                        dirty = True
-                        break
+    for t in range(min(rows, cols)):
+        while pivot_pass(t):
+            pass
         if a[t][t] < 0:
-            negate_row(t)
-        t += 1
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
 
     diagonal = [[a[i][j] for j in range(cols)] for i in range(rows)]
     factors = [a[i][i] for i in range(min(rows, cols)) if a[i][i]]
@@ -357,6 +343,8 @@ def _groups(cx, maxdim):
 
 def homology_groups(s, maxdim):
     """H_0 .. H_maxdim of a finite simplicial set."""
+    if maxdim < 0:
+        raise ValueError("maxdim must be >= 0")
     return _groups(chain_complex(s), maxdim)
 
 
@@ -446,6 +434,8 @@ def weak_equivalence_certificate(f, maxdim=3):
     equivalence: a bijection on path components, and mapping-cone acyclicity
     in degrees 0..maxdim (induced isomorphisms on H_d below maxdim and an
     epimorphism at maxdim).  Both-empty maps pass vacuously."""
+    if maxdim < 0:
+        raise ValueError("maxdim must be >= 0")
     src, tgt = f.source, f.target
     if src.is_empty and tgt.is_empty:
         return Certificate(True, maxdim)

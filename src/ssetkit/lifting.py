@@ -147,6 +147,8 @@ def generator_family(kind, cap):
     ("J", 1 <= n <= cap, 0 <= k <= n), each with its label."""
     if kind not in ("I", "J"):
         raise ValueError(f"unknown generator family {kind!r}")
+    if cap < 0:
+        raise ValueError("dimension cap must be >= 0")
     labels = ([("I", n) for n in range(cap + 1)] if kind == "I" else
               [("J", n, k) for n in range(1, cap + 1) for k in range(n + 1)])
     return [(label, generator(*label)) for label in labels]

@@ -1,9 +1,11 @@
 """The dense homology code that `ssetkit.homology` replaced, kept as the
 oracle for its sparse reduction: dense boundary matrices, a dense
 boundary . boundary = 0 check, and a full Smith normal form of each
-matrix, twice per degree."""
+matrix, twice per degree.  The Smith normal form is the earlier one, from
+`naive_snf`, so this oracle does not move with the code it checks."""
 
-from ssetkit.homology import HomologyGroup, smith_normal_form
+from naive_snf import smith_normal_form
+from ssetkit.homology import HomologyGroup
 
 
 class DenseChainComplex:

@@ -117,6 +117,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert "line 9: duplicate faces line for 'e'" in captured.err
 
+    def test_faces_line_for_a_vertex_is_input_error(self, capsys):
+        code = main(["validate", str(DATA / "vertex_faces.sset")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "line 7: faces line for 'x', a vertex of object 'A'" \
+            in captured.err
+
     def test_unknown_map_is_input_error(self, capsys):
         code, _ = run_cli(capsys, "rlp", str(DATA / "rlp_boundary.sset"),
                           "--map", "ghost", "--gen", "I", "--cap", "1")

@@ -60,6 +60,11 @@ class TestFactorize:
         assert r.left == identity(boundary(1))
         assert r.right == r.f
 
+    def test_negative_cap_is_refused(self):
+        # an empty family would converge vacuously and pass the verifier
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            factorize(the_map(boundary(1), simplex(0)), "I", cap=-1)
+
     def test_budget_zero_reports_residual(self):
         r = factorize(point_insertion(), "I", cap=2, mode="reduced", budget=0)
         assert not r.converged

@@ -128,7 +128,9 @@ object BAD
          "duplicate image line for 'x'"),
         ("  dim 0: p\n", "  dim 0: p\n  faces zz: p p\n", 10,
          "faces line for 'zz', which no dim line of object 'P' declares"),
-    ], ids=["faces", "image", "undeclared"])
+        ("  dim 0: p\n", "  dim 0: p\n  faces p: p p\n", 10,
+         "faces line for 'p', a vertex of object 'P'"),
+    ], ids=["faces", "image", "undeclared", "vertex"])
     def test_conflicting_lines_are_refused(self, old, new, line_no, message):
         # the second line, or the stray one, is named; none of them can
         # silently win or change the object

@@ -157,6 +157,14 @@ class TestCheckRLP:
         assert labels == [("J", 1, 0), ("J", 1, 1),
                           ("J", 2, 0), ("J", 2, 1), ("J", 2, 2)]
 
+    @pytest.mark.parametrize("kind", ["I", "J"])
+    def test_negative_cap_is_refused(self, kind):
+        # an empty family would pass every map vacuously
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            generator_family(kind, -1)
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            check_rlp(the_map(boundary(1), simplex(0)), kind, -1)
+
 
 class TestLiftViaRetract:
     def trivial_diagram(self, i):

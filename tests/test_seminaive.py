@@ -318,6 +318,30 @@ class TestMutations:
             "rlp: converged run's right factor fails check_rlp"]
         assert naive.verify_factorization(bad).issues == issues
 
+    def test_wrong_projection(self):
+        # stage 1 gets a projection that is not the run's, so some squares
+        # of stage 0 no longer commute once pushed into stage 1: they have
+        # no lift and are reported, not raised
+        f = enumerate_maps(boundary(1), simplex(1))[0]
+        r = factorize(f, "I", cap=1, mode="reduced", budget=3)
+        assert len(r.stages) == 3 and verify_factorization(r).ok
+        s = r.stages[1]
+        wrong = enumerate_maps(s.p.source, s.p.target)[1]
+        assert wrong != s.p
+        stage = FactorStage(wrong, s.squares, s.attached, s.witnesses)
+        bad = mutated(r, stages=[r.stages[0], stage, r.stages[2]])
+        inc = r.realization.stage_data[0].inclusion
+        broken = [idx for idx, (_, sq) in enumerate(r.stages[0].squares)
+                  if compose(wrong, compose(inc, sq.top))
+                  != compose(sq.bottom, sq.left)]
+        assert broken
+        issues = verify_factorization(bad).issues
+        lifts = [line for line in issues if "does not lift" in line]
+        assert lifts == [f"stage 0: square #{idx} does not lift through the "
+                         "next stage" for idx in broken]
+        assert all("has a witness that is not a lift" in line
+                   for line in issues if line not in lifts)
+
 
 class TestSquareChecks:
     def test_a_corrupted_memoized_bottom_raises(self, monkeypatch):
