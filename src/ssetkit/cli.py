@@ -23,7 +23,11 @@ from ssetkit.formats import (
     print_document,
     print_soa,
 )
-from ssetkit.homology import homology_groups, weak_equivalence_certificate
+from ssetkit.homology import (
+    MAXDIM_LIMIT,
+    homology_groups,
+    weak_equivalence_certificate,
+)
 from ssetkit.lifting import Lift, LiftingProblem, check_rlp, solve_lift
 
 
@@ -293,11 +297,6 @@ def _cmd_we_cert(args):
 
 
 # ---------------------------------------------------------------------------
-
-# the largest --maxdim: a report prints one group per degree, and every
-# group above an object's dimension is 0
-MAXDIM_LIMIT = 64
-
 
 def _count(text, limit=None):
     """A nonnegative integer flag value, at most `limit` when one is given;

@@ -8,12 +8,18 @@ form of a possibly-degenerate simplex.  All simplicial operators (faces,
 degeneracies, and arbitrary monotone reindexings) are evaluated through
 `FiniteSimplicialSet.act`, which renormalizes on the fly.
 
+Every hom-set, lift and square comes from one search, `extensions`.  Its
+plan per source object (each generator's dimension and face-key reader) is
+built on the first search out of the object and kept in its memo; it saves
+lookups only, so it changes no node, no node order and no refutation count.
+
 Everything here is immutable after construction; internal memo tables are
 write-once caches and do not affect equality.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -304,10 +310,17 @@ def identity(s):
 
 
 def compose(g, f):
-    """The composite g . f (f first).  Raises on endpoint mismatch."""
+    """The composite g . f (f first).  Raises ValueError on endpoint
+    mismatch, on a missing image of f and on one of g that it degenerates."""
     if f.target != g.source:
         raise ValueError("compose: target of first map != source of second")
-    return _positional(f.source, g.target, tuple(map(g, f.img)))
+    try:
+        return _positional(f.source, g.target, tuple(map(g, f.img)))
+    except AttributeError:  # from a None image: name the first one missing
+        for m in (f, g):
+            for name in (n for n, r in zip(m.source.names(), m.img) if not r):
+                raise ValueError(f"compose: no image for {name}") from None
+        raise
 
 
 def map_errors(f):
@@ -545,11 +558,35 @@ def _face_index(x, d):
     return index
 
 
+def _search_plan(a):
+    """Per generator of `a`, in `a.names()` order: its dimension and the
+    reader of its face key off the chosen images, () for a vertex, an
+    itemgetter over the face positions when every face is nondegenerate,
+    else a list of (position, surjection or None) pairs.  Built on a's
+    first search and kept in its memo, never at construction."""
+    plan = a._memo.get("plan")
+    if plan is None:
+        plan = a._memo["plan"] = []
+        for name in a.names():
+            refs = a.faces_of(name) if a.dim_of(name) else ()
+            if any(r.word for r in refs):
+                read = [(a._pos[r.base], _word_to_surj(r.word, a.dim_of(
+                    r.base)) if r.word else None) for r in refs]
+            else:
+                read = refs and itemgetter(*(a._pos[r.base] for r in refs))
+            plan.append((a.dim_of(name), read))
+    return plan
+
+
 def extensions(a, x, pins=None, over=None):
     """The maps a -> x one at a time, lexicographic in the images of the
-    generators of `a`: a depth-first search on an explicit stack.  The
-    candidates for a generator are the simplices of x whose faces are the
-    images already chosen for its faces, looked up in `_face_index`.
+    generators of `a`: a depth-first search in one loop on an explicit
+    stack.  The candidates for a generator are the simplices of x whose
+    faces are the images already chosen for its faces, looked up in
+    `_face_index` by the key that a's `_search_plan` reads off the path;
+    x's tables are fetched once per call and dimension.  The plan saves
+    lookups, never nodes: the nodes, their order and the count returned
+    are those of a search that looks everything up at every node.
 
     `pins` maps the position of a generator in `a.names()` to pairs
     (alpha, want) that its image h must satisfy: x.act(h, alpha) == want,
@@ -558,51 +595,46 @@ def extensions(a, x, pins=None, over=None):
     exhausted, the generator returns the count of refuted candidates: |x_d|
     summed over the search nodes visited, degenerate d-simplices included.
     """
+    plan = _search_plan(a)
     pins = pins or {}
-    gens = tuple(a.names())
-    pos = a._pos
-    # the images on the current path; a face's is chosen before it is read
-    chosen = [None] * len(gens)
+    n = len(plan)
+    # on the current path, generator t has image chosen[t] and the rest of
+    # its candidates in left[t]; fresh when t was just entered
+    chosen, left = [None] * n, [None] * n
+    tables = [None] * (a.dim + 1)
     refuted = 0
-
-    def candidates(t):
-        nonlocal refuted
-        name = gens[t]
-        d = a.dim_of(name)
-        pool = enumerate_simplices(x, d)
-        refuted += len(pool)
-        if d:
-            key = tuple(chosen[pos[r.base]] if not r.word else x.act(
-                chosen[pos[r.base]], _word_to_surj(r.word, a.dim_of(r.base)))
-                for r in a.faces_of(name))
-            pool = _face_index(x, d).get(key, ())
-        for alpha, want in pins.get(t, ()):
-            if alpha is None:
-                pool = (want,) if want in pool else ()
-            else:
-                pool = [h for h in pool if x.act(h, alpha) == want]
-        if over is not None:
-            f, below = over[0], over[1].img[t]
-            pool = [h for h in pool if f(h) == below]
-        return pool
-
-    # cands[t] lists the candidates for generator t on the current path,
-    # and nxt[t] is the next one to try
-    cands = [candidates(0)] if gens else []
-    nxt = [0] * len(gens)
-    t = 0
+    t, fresh = 0, True
     while t >= 0:
-        if t == len(gens):
+        if t == n:
             yield _positional(a, x, tuple(chosen))
-        elif nxt[t] < len(cands[t]):
-            chosen[t] = cands[t][nxt[t]]
-            nxt[t] += 1
-            t += 1
-            if t < len(gens):
-                cands[t:] = [candidates(t)]
-                nxt[t] = 0
-            continue
-        t -= 1
+        else:
+            if fresh:
+                d, read = plan[t]
+                if tables[d] is None:
+                    tables[d] = (enumerate_simplices(x, d),
+                                 d and _face_index(x, d))
+                pool, index = tables[d]
+                refuted += len(pool)
+                if type(read) is list:
+                    pool = index.get(tuple([chosen[p] if s is None else x.act(
+                        chosen[p], s) for p, s in read]), ())
+                elif read:
+                    pool = index.get(read(chosen), ())
+                for alpha, want in pins.get(t, ()):
+                    if alpha is None:
+                        pool = (want,) if want in pool else ()
+                    else:
+                        pool = [h for h in pool if x.act(h, alpha) == want]
+                if over is not None:
+                    f, below = over[0], over[1].img[t]
+                    pool = [h for h in pool if f(h) == below]
+                left[t] = iter(pool)
+            h = next(left[t], None)
+            if h is not None:
+                chosen[t] = h
+                t, fresh = t + 1, True
+                continue
+        t, fresh = t - 1, False
     return refuted
 
 

@@ -341,10 +341,19 @@ def _groups(cx, maxdim):
     return [homology_of_complex(cx, d) for d in range(maxdim + 1)]
 
 
+# the largest maxdim: one group is read per degree, and every group above
+# an object's dimension is 0
+MAXDIM_LIMIT = 64
+
+
+def _check_maxdim(maxdim):
+    if not 0 <= maxdim <= MAXDIM_LIMIT:
+        raise ValueError(f"maxdim must be >= 0 and <= {MAXDIM_LIMIT}")
+
+
 def homology_groups(s, maxdim):
-    """H_0 .. H_maxdim of a finite simplicial set."""
-    if maxdim < 0:
-        raise ValueError("maxdim must be >= 0")
+    """H_0 .. H_maxdim of a finite simplicial set, 0 <= maxdim <= 64."""
+    _check_maxdim(maxdim)
     return _groups(chain_complex(s), maxdim)
 
 
@@ -433,9 +442,9 @@ def weak_equivalence_certificate(f, maxdim=3):
     """Check the homological necessary conditions for f to be a weak
     equivalence: a bijection on path components, and mapping-cone acyclicity
     in degrees 0..maxdim (induced isomorphisms on H_d below maxdim and an
-    epimorphism at maxdim).  Both-empty maps pass vacuously."""
-    if maxdim < 0:
-        raise ValueError("maxdim must be >= 0")
+    epimorphism at maxdim), with maxdim in 0..MAXDIM_LIMIT.  Both-empty maps
+    pass vacuously."""
+    _check_maxdim(maxdim)
     src, tgt = f.source, f.target
     if src.is_empty and tgt.is_empty:
         return Certificate(True, maxdim)

@@ -1,0 +1,75 @@
+"""The search that `core.extensions` replaced, kept as the test oracle.
+
+`extensions` is the earlier library code, unchanged.  It looks up every
+generator's dimension, faces, face positions and degeneracy surjections
+again at each search node, in a `candidates` closure called once per node,
+and fetches the target's simplices and face index there too.
+"""
+
+from ssetkit.core import (
+    _face_index,
+    _positional,
+    _word_to_surj,
+    enumerate_simplices,
+)
+
+
+def extensions(a, x, pins=None, over=None):
+    """The maps a -> x one at a time, lexicographic in the images of the
+    generators of `a`: a depth-first search on an explicit stack.  The
+    candidates for a generator are the simplices of x whose faces are the
+    images already chosen for its faces, looked up in `_face_index`.
+
+    `pins` maps the position of a generator in `a.names()` to pairs
+    (alpha, want) that its image h must satisfy: x.act(h, alpha) == want,
+    or h == want when alpha is None.  `over` is a pair (f, bottom) of maps
+    x -> y and a -> y; only maps h with f . h == bottom come out.  When
+    exhausted, the generator returns the count of refuted candidates: |x_d|
+    summed over the search nodes visited, degenerate d-simplices included.
+    """
+    pins = pins or {}
+    gens = tuple(a.names())
+    pos = a._pos
+    # the images on the current path; a face's is chosen before it is read
+    chosen = [None] * len(gens)
+    refuted = 0
+
+    def candidates(t):
+        nonlocal refuted
+        name = gens[t]
+        d = a.dim_of(name)
+        pool = enumerate_simplices(x, d)
+        refuted += len(pool)
+        if d:
+            key = tuple(chosen[pos[r.base]] if not r.word else x.act(
+                chosen[pos[r.base]], _word_to_surj(r.word, a.dim_of(r.base)))
+                for r in a.faces_of(name))
+            pool = _face_index(x, d).get(key, ())
+        for alpha, want in pins.get(t, ()):
+            if alpha is None:
+                pool = (want,) if want in pool else ()
+            else:
+                pool = [h for h in pool if x.act(h, alpha) == want]
+        if over is not None:
+            f, below = over[0], over[1].img[t]
+            pool = [h for h in pool if f(h) == below]
+        return pool
+
+    # cands[t] lists the candidates for generator t on the current path,
+    # and nxt[t] is the next one to try
+    cands = [candidates(0)] if gens else []
+    nxt = [0] * len(gens)
+    t = 0
+    while t >= 0:
+        if t == len(gens):
+            yield _positional(a, x, tuple(chosen))
+        elif nxt[t] < len(cands[t]):
+            chosen[t] = cands[t][nxt[t]]
+            nxt[t] += 1
+            t += 1
+            if t < len(gens):
+                cands[t:] = [candidates(t)]
+                nxt[t] = 0
+            continue
+        t -= 1
+    return refuted

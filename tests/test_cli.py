@@ -46,6 +46,10 @@ class TestGolden:
         ("pushout_collapse.txt", 0,
          ["pushout", str(DATA / "pushout_collapse.sset"),
           "--i", "edge", "--g", "collapse"]),
+        ("lift_none.txt", 1,
+         ["lift", str(DATA / "lift_none.sset"),
+          "--left", "horn", "--right", "collapse", "--top", "top",
+          "--bottom", "bottom"]),
     ]
 
     @pytest.mark.parametrize("golden,expected_code,argv",

@@ -281,6 +281,20 @@ class TestComposeIdentity:
         with pytest.raises(ValueError):
             compose(boundary_inclusion(1), boundary_inclusion(1))
 
+    def test_missing_image_raises_value_error(self):
+        # the constructor keeps a missing image and map_errors reports it;
+        # compose names it instead of failing on None
+        f = SimplicialMap(simplex(1), simplex(1),
+                          {"0": SimplexRef("0"), "1": SimplexRef("1")})
+        assert map_errors(f) == ["no image for 01"]
+        with pytest.raises(ValueError, match="^compose: no image for 01$"):
+            compose(identity(simplex(1)), f)
+        # a missing image of the second map that the composite degenerates
+        g = SimplicialMap(simplex(0), simplex(0), {})
+        collapse = enumerate_maps(simplex(1), simplex(0))[0]
+        with pytest.raises(ValueError, match="^compose: no image for 0$"):
+            compose(g, collapse)
+
     def test_associativity_exhaustive_small(self):
         objs = [simplex(0), boundary(1), simplex(1)]
         for a, b, c, d in itertools.product(objs, repeat=4):

@@ -332,6 +332,25 @@ class TestCertificate:
         with pytest.raises(ValueError, match="maxdim must be >= 0"):
             homology_groups(circle(), -1)
 
+    def test_maxdim_above_the_limit_is_refused(self, monkeypatch):
+        # refused before any work, as a negative maxdim is: without the
+        # limit, each degree up to maxdim reads a group, empty or not
+        assert homology_module.MAXDIM_LIMIT == 64
+        monkeypatch.setattr(homology_module, "_chains", None)
+        refused = "maxdim must be >= 0 and <= 64"
+        for maxdim in (65, 10**6, 10**9):
+            with pytest.raises(ValueError, match=refused):
+                homology_groups(simplex(0), maxdim)
+            with pytest.raises(ValueError, match=refused):
+                weak_equivalence_certificate(boundary_inclusion(2), maxdim)
+        monkeypatch.undo()
+        groups = homology_groups(circle(), 64)
+        assert len(groups) == 65
+        assert [str(g) for g in groups[:2]] == ["Z", "Z"]
+        assert all(g.trivial for g in groups[2:])
+        assert weak_equivalence_certificate(boundary_inclusion(2), 64) \
+            .failure == ("H2", "Z")
+
     def test_degree_loop_stops_at_the_cone_top(self, monkeypatch):
         # every group above the cone's top degree is 0: a large maxdim
         # reads no degree above it and gives the verdict of reading all
