@@ -17,10 +17,8 @@ from ssetkit.core import (
     FiniteSimplicialSet,
     SimplexRef,
     SimplicialMap,
-    _mono_compose,
+    _degenerate,
     _positional,
-    _surj_to_word,
-    _word_to_surj,
     compose,
     enumerate_simplices,
     identity,
@@ -145,12 +143,11 @@ def pushout(i, g):
         to = step.get(ref.base)
         if to is None:
             return ref
-        surj = _word_to_surj(ref.word, cop.dim_of(ref.base))
+        word = ref.word
         while to.word:
-            surj = _mono_compose(_word_to_surj(to.word, cop.dim_of(to.base)),
-                                 surj)
+            word = _degenerate(word, to.word)
             to = step.get(to.base) or SimplexRef(to.base)
-        return SimplexRef(to.base, _surj_to_word(surj))
+        return SimplexRef(to.base, word)
 
     # a simplex names its class when it is the least member; the base of a
     # degenerate member has a lower dimension

@@ -4,9 +4,9 @@ A finite simplicial set is stored as its nondegenerate simplices plus, for
 each nondegenerate simplex of dimension d >= 1, an ordered list of d+1 face
 references.  A face reference names a nondegenerate simplex together with a
 strictly decreasing word of degeneracy indices, which is the unique normal
-form of a possibly-degenerate simplex.  All simplicial operators (faces,
-degeneracies, and arbitrary monotone reindexings) are evaluated through
-`FiniteSimplicialSet.act`, which renormalizes on the fly.
+form of a possibly-degenerate simplex.  Degeneracies act on words alone
+(`_degenerate`), a nondegenerate simplex's faces are stored, `_tables` gives
+every face of a dimension, and `FiniteSimplicialSet.act` any other operator.
 
 Every hom-set, lift and square comes from one search, `extensions`.  Its
 plan per source object (each generator's dimension and face-key reader) is
@@ -61,6 +61,15 @@ def _word_to_surj(word, base_dim):
     for i in reversed(word):
         f = _mono_compose(f, _codegeneracy(i, len(f) - 1))
     return f
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _degenerate(word, inner):
+    """Normal form of s_word s_inner, by s_i s_j = s_{j+1} s_i for i <= j."""
+    for j in reversed(word):
+        inner = (tuple(v + 1 for v in inner if v >= j) + (j,)
+                 + tuple(v for v in inner if v < j))
+    return inner
 
 
 def _surj_to_word(f):
@@ -221,19 +230,20 @@ class FiniteSimplicialSet:
             face = self._faces[ref.base][missing]
             delta2 = tuple(v if v < missing else v - 1 for v in delta)
             inner = self.act(face, delta2)
-            gi = _word_to_surj(inner.word, self._dim_of[inner.base])
-            out = SimplexRef(inner.base,
-                             _surj_to_word(tuple(gi[s] for s in sigma)))
+            out = SimplexRef(inner.base, _degenerate(_surj_to_word(sigma),
+                                                     inner.word))
         memo[key] = out
         return out
 
     def face(self, ref, i):
-        """The i-th face of `ref`, in normal form."""
+        """The i-th face of `ref`, in normal form (stored if nondegenerate)."""
+        if not ref.word:
+            return self._faces[ref.base][i]
         return self.act(ref, _coface(i, self.ref_dim(ref)))
 
     def degeneracy(self, ref, i):
         """The i-th degeneracy of `ref`, in normal form."""
-        return self.act(ref, _codegeneracy(i, self.ref_dim(ref)))
+        return SimplexRef(ref.base, _degenerate((i,), ref.word))
 
 
 class SimplicialMap:
@@ -281,12 +291,11 @@ class SimplicialMap:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
 
     def __call__(self, ref):
-        """Image of any reference of the source, in normal form."""
+        """Normal-form image of a reference of the source (None if missing)."""
         img = self.img[self.source._pos[ref.base]]
-        if not ref.word:
+        if not ref.word or img is None:
             return img
-        g = _word_to_surj(ref.word, self.source.dim_of(ref.base))
-        return self.target.act(img, g)
+        return SimplexRef(img.base, _degenerate(ref.word, img.word))
 
     def sort_key(self):
         """Lexicographic key by generator images, generators in canonical
@@ -311,16 +320,22 @@ def identity(s):
 
 def compose(g, f):
     """The composite g . f (f first).  Raises ValueError on endpoint
-    mismatch, on a missing image of f and on one of g that it degenerates."""
+    mismatch, on a missing image of f and on one of g that it uses."""
     if f.target != g.source:
         raise ValueError("compose: target of first map != source of second")
+    pos, gimg = g.source._pos, g.img
     try:
-        return _positional(f.source, g.target, tuple(map(g, f.img)))
-    except AttributeError:  # from a None image: name the first one missing
-        for m in (f, g):
-            for name in (n for n, r in zip(m.source.names(), m.img) if not r):
-                raise ValueError(f"compose: no image for {name}") from None
-        raise
+        img = tuple([gimg[pos[r.base]] if not r.word else g(r)
+                     for r in f.img])
+    except AttributeError:  # from a None image of f
+        if None not in f.img:
+            raise
+        img = f.img
+    if None in img:
+        k = img.index(None)
+        name = (f.img[k] or SimplexRef(list(f.source.names())[k])).base
+        raise ValueError(f"compose: no image for {name}")
+    return _positional(f.source, g.target, img)
 
 
 def map_errors(f):
@@ -546,15 +561,42 @@ def enumerate_simplices(s, d):
     return out
 
 
+def _tables(x, d):
+    """(refs, code, faces): refs = `enumerate_simplices(x, d)`, code[ref] its
+    position there, faces[c] the codes of the faces of refs[c].  For s_j z
+    with j = word[0]: d_i s_j z = z for i = j, j+1, s_{j-1} d_i z for i < j,
+    s_j d_{i-1} z for i > j+1.  Built on first use, kept in x's memo."""
+    tables = x._memo.get(("tables", d))
+    if tables is None:
+        refs, faces = enumerate_simplices(x, d), []
+        if d:
+            _, code, below = _tables(x, d - 1)
+            under = _tables(x, d - 2)[0] if d > 1 else ()
+            for r in refs:
+                if not r.word:
+                    faces.append(tuple([code[f] for f in x._faces[r.base]]))
+                    continue
+                j, z = r.word[0], code[SimplexRef(r.base, r.word[1:])]
+                faces.append(tuple([z if j <= i <= j + 1 else code[
+                    x.degeneracy(under[below[z][i - (i > j)]], j - (i < j))]
+                    for i in range(d + 1)]))
+        tables = x._memo[("tables", d)] = (
+            refs, {r: c for c, r in enumerate(refs)}, faces)
+    return tables
+
+
 def _face_index(x, d):
-    """The d-simplices of x grouped by face tuple (face_0, ..., face_d), in
-    canonical order within a group.  Built on first use, kept in x's memo."""
+    """The d-simplices of x by face tuple (face_0, ..., face_d), in canonical
+    order within a group, read off `_tables`; kept in x's memo."""
     index = x._memo.get(("faces", d))
     if index is None:
-        index = x._memo[("faces", d)] = {}
-        for ref in enumerate_simplices(x, d):
-            faces = tuple(x.face(ref, i) for i in range(d + 1))
-            index.setdefault(faces, []).append(ref)
+        refs, _, faces = _tables(x, d)
+        below, groups = enumerate_simplices(x, d - 1), {}
+        for ref, key in zip(refs, faces):
+            groups.setdefault(key, []).append(ref)
+        index = x._memo[("faces", d)] = {
+            tuple([below[c] for c in key]): group
+            for key, group in groups.items()}
     return index
 
 

@@ -65,9 +65,20 @@ class NoLift:
     refuted: int
 
 
+def _restricts_to(w, i, top):
+    """Whether w . i == top: w's images at the positions of i's when those
+    are all nondegenerate, else (and to refuse bad input) the composite."""
+    if i.target == w.source and not any(r.word for r in i.img):
+        got = tuple([w.img[w.source._pos[r.base]] for r in i.img])
+        if None not in got:
+            return got == top.img and (w.target, i.source) == (
+                top.target, top.source)
+    return compose(w, i) == top
+
+
 def verify_lift(problem, diagonal):
     """Both triangle equations, checked exactly."""
-    return (compose(diagonal, problem.left) == problem.top
+    return (_restricts_to(diagonal, problem.left, problem.top)
             and compose(problem.right, diagonal) == problem.bottom)
 
 
@@ -121,7 +132,7 @@ def enumerate_squares(i, f):
             found = bottoms[wants.img] = tuple(
                 extensions(i.target, f.target, _pins(i, wants.img)))
             for bottom in found:
-                if compose(bottom, i) != wants:
+                if not _restricts_to(bottom, i, wants):
                     raise ValueError("lifting problem: square does not "
                                      "commute")
         out.extend(_commuting(i, f, top, bottom) for bottom in found)

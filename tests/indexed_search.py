@@ -4,14 +4,30 @@
 generator's dimension, faces, face positions and degeneracy surjections
 again at each search node, in a `candidates` closure called once per node,
 and fetches the target's simplices and face index there too.
+
+`_face_index` is the earlier face index, built by `act` from one coface per
+face of every simplex (the earlier `FiniteSimplicialSet.face`, inlined), so
+the oracle does not move with the tables that build the library's index.
 """
 
 from ssetkit.core import (
-    _face_index,
+    _coface,
     _positional,
     _word_to_surj,
     enumerate_simplices,
 )
+
+
+def _face_index(x, d):
+    """The d-simplices of x grouped by face tuple (face_0, ..., face_d), in
+    canonical order within a group.  Built on first use, kept in x's memo."""
+    index = x._memo.get(("act faces", d))
+    if index is None:
+        index = x._memo[("act faces", d)] = {}
+        for ref in enumerate_simplices(x, d):
+            faces = tuple(x.act(ref, _coface(i, d)) for i in range(d + 1))
+            index.setdefault(faces, []).append(ref)
+    return index
 
 
 def extensions(a, x, pins=None, over=None):

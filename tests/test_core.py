@@ -289,11 +289,26 @@ class TestComposeIdentity:
         assert map_errors(f) == ["no image for 01"]
         with pytest.raises(ValueError, match="^compose: no image for 01$"):
             compose(identity(simplex(1)), f)
-        # a missing image of the second map that the composite degenerates
+        # a missing image of the second map that the composite degenerates;
+        # the map's own image of that degenerate simplex is None
         g = SimplicialMap(simplex(0), simplex(0), {})
         collapse = enumerate_maps(simplex(1), simplex(0))[0]
+        assert collapse.img[2] == SimplexRef("0", (0,))
+        assert g(collapse.img[2]) is None
         with pytest.raises(ValueError, match="^compose: no image for 0$"):
             compose(g, collapse)
+
+    def test_missing_image_of_the_second_map_used_nondegenerately(self):
+        g = SimplicialMap(simplex(0), simplex(0), {})
+        with pytest.raises(ValueError, match="^compose: no image for 0$"):
+            compose(g, identity(simplex(0)))
+
+    def test_missing_image_names_the_one_the_composite_uses(self):
+        # g lacks images for 0 and 1, and the composite uses only 1
+        g = SimplicialMap(simplex(1), simplex(1), {"01": SimplexRef("01")})
+        v1 = SimplicialMap(simplex(0), simplex(1), {"0": SimplexRef("1")})
+        with pytest.raises(ValueError, match="^compose: no image for 1$"):
+            compose(g, v1)
 
     def test_associativity_exhaustive_small(self):
         objs = [simplex(0), boundary(1), simplex(1)]

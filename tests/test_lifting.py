@@ -33,6 +33,7 @@ from ssetkit.lifting import (
     solve_lift,
     verify_lift,
 )
+from ssetkit.lifting import _restricts_to
 
 
 def circle():
@@ -120,6 +121,38 @@ class TestSolveLift:
         with pytest.raises(ValueError):
             LiftingProblem(i, identity(simplex(1)), constant,
                            identity(simplex(1)))
+
+
+class TestRestriction:
+    """`_restricts_to(w, i, top)` is `compose(w, i) == top`, read by
+    position when every image of i is nondegenerate."""
+
+    def test_equals_the_composite(self):
+        lefts = [g for kind in ("I", "J")
+                 for _, g in generator_family(kind, 2)]
+        lefts += [the_map(simplex(1), simplex(0)),
+                  the_map(boundary(1), simplex(0))]
+        targets = [simplex(0), simplex(1), circle(), boundary(2)]
+        checked = agreed = 0
+        for i in lefts:
+            for x in targets:
+                for w in enumerate_maps(i.target, x):
+                    for y in targets:
+                        for top in enumerate_maps(i.source, y):
+                            want = compose(w, i) == top
+                            assert _restricts_to(w, i, top) == want
+                            checked += 1
+                            agreed += want
+        assert checked > 1000 and agreed > 100
+
+    def test_refuses_what_compose_refuses(self):
+        i = boundary_inclusion(1)
+        with pytest.raises(ValueError, match="^compose: target of first"):
+            _restricts_to(identity(simplex(0)), i, the_map(boundary(1),
+                                                          simplex(0)))
+        w = SimplicialMap(simplex(1), simplex(1), {"01": SimplexRef("01")})
+        with pytest.raises(ValueError, match="^compose: no image for 0$"):
+            _restricts_to(w, i, i)
 
 
 class TestEnumerateSquares:
