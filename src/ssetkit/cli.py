@@ -70,23 +70,31 @@ def _get_map(doc, name):
     return doc.maps[name]
 
 
-def _require_valid(doc, names):
+def _require_valid(doc, names, checked=None):
+    """Validate the named objects in order, skipping those in `checked`."""
+    checked = set() if checked is None else checked
     for name in names:
-        report = core.validate(doc.objects[name])
-        if not report.ok:
-            raise InputError(f"object {name!r} is invalid:\n{report}")
+        obj = doc.objects[name]
+        if obj not in checked:
+            checked.add(obj)
+            report = core.validate(obj)
+            if not report.ok:
+                raise InputError(f"object {name!r} is invalid:\n{report}")
 
 
-def _require_map(doc, name):
-    f = _get_map(doc, name)
-    for obj_name, obj in doc.objects.items():
-        if obj in (f.source, f.target):
-            _require_valid(doc, [obj_name])
-    errors = core.map_errors(f)
-    if errors:
-        raise InputError(f"map {name!r} is not simplicial:\n"
-                         + "\n".join(errors))
-    return f
+def _require_maps(doc, *names):
+    """The named maps, in order, each simplicial between valid objects."""
+    checked, maps = set(), []
+    for name in names:
+        f = _get_map(doc, name)
+        _require_valid(doc, [obj_name for obj_name, obj in doc.objects.items()
+                             if obj in (f.source, f.target)], checked)
+        errors = core.map_errors(f)
+        if errors:
+            raise InputError(f"map {name!r} is not simplicial:\n"
+                             + "\n".join(errors))
+        maps.append(f)
+    return maps
 
 
 def _doc_name(doc, obj):
@@ -138,8 +146,7 @@ def _cmd_hom(args):
 
 def _cmd_pushout(args):
     doc = _load_document(args.file)
-    i = _require_map(doc, args.i)
-    g = _require_map(doc, args.g)
+    i, g = _require_maps(doc, args.i, args.g)
     if i.source != g.source:
         raise InputError("the two maps must share a source")
     p = pushout(i, g)
@@ -163,12 +170,9 @@ def _cmd_pushout(args):
 
 
 def _square_from_args(doc, args):
-    left = _require_map(doc, args.left)
-    right = _require_map(doc, args.right)
-    top = _require_map(doc, args.top)
-    bottom = _require_map(doc, args.bottom)
+    maps = _require_maps(doc, args.left, args.right, args.top, args.bottom)
     try:
-        return LiftingProblem(left, right, top, bottom)
+        return LiftingProblem(*maps)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -190,7 +194,7 @@ def _cmd_lift(args):
 
 def _cmd_rlp(args):
     doc = _load_document(args.file)
-    f = _require_map(doc, args.map)
+    [f] = _require_maps(doc, args.map)
     report = check_rlp(f, args.gen, args.cap)
     verdict = "pass" if report.passed else "fail"
     out = [f"rlp map={args.map} gen={args.gen} cap={args.cap}: {verdict}"]
@@ -216,7 +220,7 @@ def _cmd_realize(args):
 def _cmd_factor_stage(args):
     pres, doc = _load_cellpres(args.file)
     res = pres.realization
-    m = _require_map(doc, args.map)
+    [m] = _require_maps(doc, args.map)
     if m.target != res.final:
         raise InputError(f"map {args.map!r} does not land in the final stage")
     k, factored = factor_through_stage(res, m)
@@ -242,7 +246,7 @@ def _cmd_j2i(args):
 
 def _cmd_factorize(args):
     doc = _load_document(args.file)
-    f = _require_map(doc, args.map)
+    [f] = _require_maps(doc, args.map)
     result = factorize(f, args.gen, cap=args.cap, mode=args.mode,
                        budget=args.budget)
     return (0 if not result.residual else 1), print_soa(result)
@@ -250,10 +254,8 @@ def _cmd_factorize(args):
 
 def _cmd_functorial(args):
     doc = _load_document(args.file)
-    f = _require_map(doc, args.map)
-    f2 = _require_map(doc, args.map2)
-    u = _require_map(doc, args.top)
-    v = _require_map(doc, args.bottom)
+    f, f2, u, v = _require_maps(doc, args.map, args.map2, args.top,
+                                args.bottom)
     if (u.source, u.target, v.source, v.target) != \
             (f.source, f2.source, f.target, f2.target):
         raise InputError("the square (top, bottom) does not fit the two "
@@ -291,7 +293,7 @@ def _cmd_homology(args):
 
 def _cmd_we_cert(args):
     doc = _load_document(args.file)
-    f = _require_map(doc, args.map)
+    [f] = _require_maps(doc, args.map)
     cert = weak_equivalence_certificate(f, args.maxdim)
     return (0 if cert.passed else 1), cert.line() + "\n"
 

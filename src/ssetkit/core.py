@@ -252,9 +252,9 @@ class SimplicialMap:
 
     `img` holds them in `source.names()` order, None where one is missing;
     `images` is a read-only view by name.  Construction refuses a name that
-    is not a simplex of the source, but does not check face compatibility;
-    `map_errors` does, and the enumeration and solver routines only ever
-    build compatible maps.
+    is not a simplex of the source and an image that is not a `SimplexRef`,
+    but does not check face compatibility; `map_errors` does, and the
+    enumeration and solver routines only ever build compatible maps.
     """
 
     __slots__ = ("source", "target", "img", "_hash")
@@ -264,6 +264,9 @@ class SimplicialMap:
             extra = [n for n in images if n not in source._pos]
             raise ValueError("map: the source has no simplex "
                              + ", ".join(map(repr, extra)))
+        for name, ref in images.items():
+            if ref is not None and not isinstance(ref, SimplexRef):
+                raise ValueError(f"map: image of {name!r} is not a SimplexRef")
         self.source = source
         self.target = target
         self.img = tuple(map(images.get, source.names()))
@@ -565,13 +568,15 @@ def _tables(x, d):
     """(refs, code, faces): refs = `enumerate_simplices(x, d)`, code[ref] its
     position there, faces[c] the codes of the faces of refs[c].  For s_j z
     with j = word[0]: d_i s_j z = z for i = j, j+1, s_{j-1} d_i z for i < j,
-    s_j d_{i-1} z for i > j+1.  Built on first use, kept in x's memo."""
-    tables = x._memo.get(("tables", d))
-    if tables is None:
-        refs, faces = enumerate_simplices(x, d), []
-        if d:
-            _, code, below = _tables(x, d - 1)
-            under = _tables(x, d - 2)[0] if d > 1 else ()
+    s_j d_{i-1} z for i > j+1.  Built bottom-up, kept in x's memo."""
+    memo, have = x._memo, d
+    while have >= 0 and ("tables", have) not in memo:
+        have -= 1
+    for e in range(have + 1, d + 1):
+        refs, faces = enumerate_simplices(x, e), []
+        if e:
+            _, code, below = memo[("tables", e - 1)]
+            under = memo[("tables", e - 2)][0] if e > 1 else ()
             for r in refs:
                 if not r.word:
                     faces.append(tuple([code[f] for f in x._faces[r.base]]))
@@ -579,10 +584,10 @@ def _tables(x, d):
                 j, z = r.word[0], code[SimplexRef(r.base, r.word[1:])]
                 faces.append(tuple([z if j <= i <= j + 1 else code[
                     x.degeneracy(under[below[z][i - (i > j)]], j - (i < j))]
-                    for i in range(d + 1)]))
-        tables = x._memo[("tables", d)] = (
-            refs, {r: c for c, r in enumerate(refs)}, faces)
-    return tables
+                    for i in range(e + 1)]))
+        memo[("tables", e)] = (refs, {r: c for c, r in enumerate(refs)},
+                               faces)
+    return memo[("tables", d)]
 
 
 def _face_index(x, d):

@@ -12,17 +12,18 @@ Reduced mode attaches only what is needed and converges on many desk-scale
 inputs; a converged run certifies the right factor's lifting property
 directly.
 
-Rounds are semi-naive: a square at round k >= 1 whose top lies in the
-stage the previous round ran against (a name-set test, since stages keep
-their names) restricts to a square of that round, which was lifted or got
-a cell, so it is not searched again.  Each round records one witness per
-square, a diagonal: the lift found, the one carried over, or the
-characteristic map of the cell attached for it.  The verifier has one rule
-for every stage: a witness that passes `verify_lift` settles its square,
-and only a square without one, or with a wrong one, is searched.  It
-enumerates the final squares afresh, so completeness never rests on the
-producer (the certifying-algorithm pattern: the checker checks
-certificates and never trusts the producer's verdicts).
+Rounds are semi-naive.  Each round is one `check_rlp` against the current
+factor; its witness hook gives a square at round k >= 1 the witness of the
+previous round's square with the same key (generator, top, bottom), so no
+square whose top lies in the previous stage is searched again.  Each round
+records one witness per square, a diagonal: the lift found, the one carried
+over, or the characteristic map of the cell attached for it.  The verifier
+has one rule for every stage: a witness that passes `verify_lift` settles
+its square, and only a square without one, or with a wrong one, is
+searched.  Its final pass is `check_rlp` on the right factor with the
+recorded witnesses, which enumerates the final squares afresh, so
+completeness never rests on the producer (the certifying-algorithm pattern:
+the checker checks certificates and never trusts the producer's verdicts).
 """
 
 from ssetkit.core import ValidationReport, compose
@@ -30,8 +31,7 @@ from ssetkit.cells import PresentationBuilder, realize
 from ssetkit.lifting import (
     Lift,
     _commuting,
-    enumerate_squares,
-    generator_family,
+    check_rlp,
     solve_lift,
     verify_lift,
 )
@@ -95,30 +95,10 @@ class FactorizationResult:
         return self.left.target
 
 
-def _early(sq, stage):
-    """Whether the square's top lies in the stage `stage` ran against."""
-    return all(stage.w.has(ref.base) for ref in sq.top.img)
-
-
 def _witness_index(stage):
     """The stage's witnesses by (label, top, bottom) key."""
     return {(label, sq.top.img, sq.bottom.img): w
             for (label, sq), w in zip(stage.squares, stage.witnesses)}
-
-
-def _diagonals(squares, prev):
-    """A diagonal for each square, or None where none exists.  A square
-    whose top lies in the stage of the previous round `prev` takes that
-    round's witness; the rest are searched."""
-    carried = _witness_index(prev) if prev is not None else None
-    out = []
-    for label, sq in squares:
-        if carried is not None and _early(sq, prev):
-            out.append(carried[(label, sq.top.img, sq.bottom.img)])
-        else:
-            found = solve_lift(sq)
-            out.append(found.diagonal if isinstance(found, Lift) else None)
-    return out
 
 
 def factorize(f, kind, cap=3, mode="reduced", budget=5):
@@ -132,37 +112,36 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
         raise ValueError(f"unknown mode {mode!r}")
     if budget < 0:
         raise ValueError("stage budget must be >= 0")
-    gens = generator_family(kind, cap)
     builder = PresentationBuilder(f.source)
     p_k = f
     stages = []
-    residual = []
 
     while True:
-        squares = [(label, sq) for label, gen in gens
-                   for sq in enumerate_squares(gen, p_k)]
         last = len(stages) >= budget
-        if mode == "faithful" and squares and not last:
-            # every square gets a cell, which is its witness
-            diagonals = [None] * len(squares)
-        else:
-            diagonals = _diagonals(squares, stages[-1] if stages else None)
+        carried = _witness_index(stages[-1]) if stages else {}
+
+        def witness(label, sq):
+            if mode == "faithful" and not last:
+                return False    # every square gets a cell, its witness
+            return carried.get((label, sq.top.img, sq.bottom.img))
+
+        entries = check_rlp(p_k, kind, cap, witness).entries
+        squares = [(label, sq) for label, sq, _ in entries]
+        diagonals = [d for _, _, d in entries]
         unlifted = [idx for idx, d in enumerate(diagonals) if d is None]
         pending = (list(range(len(squares))) if mode == "faithful"
                    else unlifted)
         if not pending or last:
             stages.append(FactorStage(p_k, squares, [], diagonals))
             converged = not pending
-            if not converged:
-                residual = [squares[idx] for idx in unlifted]
+            residual = [squares[idx] for idx in unlifted]
             break
 
         for idx in pending:
             label, sq = squares[idx]
             builder.attach(*label, attaching=sq.top)
         stage = builder.close_stage()
-        witnesses = [d if d is None else compose(stage.inclusion, d)
-                     for d in diagonals]
+        witnesses = [d and compose(stage.inclusion, d) for d in diagonals]
         for idx, char in zip(pending, stage.char_maps):
             witnesses[idx] = char
         stages.append(FactorStage(p_k, squares, pending, witnesses))
@@ -182,21 +161,21 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
 def _checks(result):
     """The verifier's one pass.  A square of a stage followed by an
     attachment round must lift through the next stage; the final squares
-    are enumerated afresh against the right factor.  A square whose witness
-    is a lift is settled; one with no witness, or a wrong one, is searched.
-    Returns the (stage, square index) pairs with a wrong witness and those
-    that do not lift, and each final square with whether it lifts."""
+    are `check_rlp`'s against the right factor, with the recorded
+    witnesses.  A square whose witness is a lift is settled; one with no
+    witness, or a wrong one, is searched.  Returns the (stage, square index)
+    pairs with a wrong witness and those that do not lift, and the final
+    entries (label, square, diagonal or None)."""
     stages, last = result.stages, len(result.stages) - 1
-    wrong, failures, final = [], [], []
+    wrong, failures, seen = [], [], []
 
-    def lifts(k, idx, sq, w):
-        if (w is not None and w.source == sq.left.target
-                and w.target == sq.right.source and verify_lift(sq, w)):
-            return True
-        if w is not None:
-            wrong.append((k, idx))
-        # a pushed square that does not commute has no lift
-        return isinstance(solve_lift(sq), Lift)
+    def checked(k, idx, sq, w):
+        # w if it lifts sq, else None; a w that does not is wrong
+        if w is None or (w.source == sq.left.target and w.target ==
+                         sq.right.source and verify_lift(sq, w)):
+            return w
+        wrong.append((k, idx))
+        return None
 
     for k, stage in enumerate(stages[:-1]):
         inc = result.realization.stage_data[k].inclusion
@@ -205,14 +184,19 @@ def _checks(result):
             # a lift makes the pushed square commute, so it needs no check
             pushed = _commuting(sq.left, stages[k + 1].p,
                                 compose(inc, sq.top), sq.bottom)
-            if not lifts(k, idx, pushed, w):
+            # a pushed square that does not commute has no lift
+            if checked(k, idx, pushed, w) is None and \
+                    not isinstance(solve_lift(pushed), Lift):
                 failures.append((k, idx))
     index = _witness_index(stages[-1]) if stages else {}
-    for label, gen in generator_family(result.kind, result.cap):
-        for sq in enumerate_squares(gen, result.right):
-            w = index.get((label, sq.top.img, sq.bottom.img))
-            final.append((label, sq, lifts(last, len(final), sq, w)))
-    return wrong, failures, final
+
+    def recorded(label, sq):
+        seen.append(sq)
+        return checked(last, len(seen) - 1, sq,
+                       index.get((label, sq.top.img, sq.bottom.img)))
+
+    report = check_rlp(result.right, result.kind, result.cap, recorded)
+    return wrong, failures, report.entries
 
 
 def stage_solvability_failures(result):
@@ -223,9 +207,10 @@ def stage_solvability_failures(result):
 
 
 def _early_top(result, final):
-    return [idx for idx, (_, sq, solved) in enumerate(final)
-            if not solved and len(result.stages) > 1
-            and _early(sq, result.stages[-2])]
+    """The unlifted final squares whose top lies in the stage before last."""
+    return [idx for idx, (_, sq, d) in enumerate(final)
+            if d is None and len(result.stages) > 1
+            and all(result.stages[-2].w.has(ref.base) for ref in sq.top.img)]
 
 
 def early_top_failures(result):
@@ -242,9 +227,9 @@ def verify_factorization(result):
     the witness and solvability of every square of every stage, the
     early-top solvability of the final stage, and (when the residual is
     empty) the full lifting property of the right factor at the run's cap.
-    The last four read one pass (`_checks`): it searches only squares
-    without a valid witness, and enumerates afresh the final squares, which
-    `check_rlp` would enumerate.  Returns a `ValidationReport` of issues."""
+    The last four read one pass (`_checks`), which searches only squares
+    without a valid witness and ends with `check_rlp` against the right
+    factor, given the recorded witnesses.  Returns a `ValidationReport`."""
     issues = []
     r = result
     if compose(r.right, r.left) != r.f:
@@ -262,7 +247,7 @@ def verify_factorization(result):
                    if len(stage.attached) != len(stage.squares)]
 
     wrong, failures, final = _checks(r)
-    unsolved = [(label, sq) for label, sq, solved in final if not solved]
+    unsolved = [(label, sq) for label, sq, d in final if d is None]
     if unsolved != list(r.residual):
         issues.append("residual: recorded residual does not match re-solve")
 

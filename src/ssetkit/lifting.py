@@ -7,7 +7,9 @@ map and lying over the bottom map: the lexicographically least diagonal.
 When there is none, the exhausted search is the certificate, counted in
 refuted candidates.  `enumerate_squares` takes, for each top A -> X, the
 extensions B -> Y pinned on i(A) by f . top: the bottoms closing a square,
-searched once per distinct f . top.
+searched once per distinct f . top.  `check_rlp` decides each generator
+square of a map in (generator, top, bottom) order and keeps its diagonal;
+the factorization rounds and the verifier's final pass read theirs from it.
 """
 
 from dataclasses import dataclass, field
@@ -167,35 +169,41 @@ def generator_family(kind, cap):
 
 @dataclass(frozen=True)
 class RLPReport:
-    """Per-square solvability of a map against a capped generator family."""
+    """Per-square diagonals of a map against a capped generator family: a
+    lift (a map, so true), None where there is none, or False if undecided."""
 
     kind: str
     cap: int
-    entries: tuple = field(default=())  # (label, square index, solved)
+    entries: tuple = field(default=())  # (label, square, diagonal)
 
     @property
     def passed(self):
-        return all(solved for _, _, solved in self.entries)
+        return all(diagonal for _, _, diagonal in self.entries)
 
     def lines(self):
-        out = []
-        for label, idx, solved in self.entries:
-            gen = (f"gen={label[1]}" if label[0] == "I"
-                   else f"gen={label[1]},{label[2]}")
+        out, counts = [], {}
+        for label, _, diagonal in self.entries:
+            idx = counts[label] = counts.get(label, -1) + 1
+            gen = "gen=" + ",".join(map(str, label[1:]))
             out.append(f"{gen} square#{idx} "
-                       f"{'solved' if solved else 'unsolved'}")
+                       f"{'solved' if diagonal else 'unsolved'}")
         return out
 
 
-def check_rlp(f, kind, cap):
+def check_rlp(f, kind, cap, witness=None):
     """Solve every generator square against f, up to the dimension cap.
     A full pass against "J" is this library's notion of a fibration; a full
-    pass against "I" certifies trivial-fibration behavior."""
+    pass against "I" certifies trivial-fibration behavior.  The internal
+    hook `witness(label, square)` returns a diagonal to keep, None to search
+    for the least lift, or False to leave the square undecided."""
     entries = []
     for label, gen in generator_family(kind, cap):
-        for idx, square in enumerate(enumerate_squares(gen, f)):
-            solved = isinstance(solve_lift(square), Lift)
-            entries.append((label, idx, solved))
+        for square in enumerate_squares(gen, f):
+            diagonal = witness(label, square) if witness else None
+            if diagonal is None:
+                found = solve_lift(square)
+                diagonal = found.diagonal if isinstance(found, Lift) else None
+            entries.append((label, square, diagonal))
     return RLPReport(kind, cap, tuple(entries))
 
 

@@ -7,17 +7,54 @@ unchanged: reduced mode solves every square of every round,
 and the verifier enumerates the final squares for the residual, solves the
 early-born ones again in `early_top_failures` (finding their stage with
 `factor_through_stage`) and enumerates them a third time in `check_rlp`.
+`RLPReport` and `check_rlp` are copies of the earlier library code too, so
+that this verifier does not move with the code it checks.
 """
+from dataclasses import dataclass, field
+
 from ssetkit.core import compose
 from ssetkit.cells import PresentationBuilder
 from ssetkit.lifting import (
     Lift,
     LiftingProblem,
-    check_rlp,
     enumerate_squares,
     generator_family,
     solve_lift,
 )
+
+
+@dataclass(frozen=True)
+class RLPReport:
+    """Per-square solvability of a map against a capped generator family."""
+
+    kind: str
+    cap: int
+    entries: tuple = field(default=())  # (label, square index, solved)
+
+    @property
+    def passed(self):
+        return all(solved for _, _, solved in self.entries)
+
+    def lines(self):
+        out = []
+        for label, idx, solved in self.entries:
+            gen = (f"gen={label[1]}" if label[0] == "I"
+                   else f"gen={label[1]},{label[2]}")
+            out.append(f"{gen} square#{idx} "
+                       f"{'solved' if solved else 'unsolved'}")
+        return out
+
+
+def check_rlp(f, kind, cap):
+    """Solve every generator square against f, up to the dimension cap.
+    A full pass against "J" is this library's notion of a fibration; a full
+    pass against "I" certifies trivial-fibration behavior."""
+    entries = []
+    for label, gen in generator_family(kind, cap):
+        for idx, square in enumerate(enumerate_squares(gen, f)):
+            solved = isinstance(solve_lift(square), Lift)
+            entries.append((label, idx, solved))
+    return RLPReport(kind, cap, tuple(entries))
 
 
 class FactorStage:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import ssetkit
-from ssetkit import cells
+from ssetkit import cells, core, formats
 from ssetkit.cli import MAXDIM_LIMIT, _build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -50,6 +50,16 @@ class TestGolden:
          ["lift", str(DATA / "lift_none.sset"),
           "--left", "horn", "--right", "collapse", "--top", "top",
           "--bottom", "bottom"]),
+        # faithful rounds before the last decide no square
+        ("factorize_faithful.txt", 1,
+         ["factorize", str(DATA / "factorize_insert.sset"),
+          "--map", "insert", "--gen", "I", "--cap", "1",
+          "--mode", "faithful", "--budget", "2"]),
+        ("functorial_insert.txt", 0,
+         ["functorial", str(DATA / "functorial.sset"),
+          "--map", "insert", "--map2", "insert2", "--top", "idE",
+          "--bottom", "pick_a", "--gen", "I", "--cap", "1",
+          "--budget", "2"]),
     ]
 
     @pytest.mark.parametrize("golden,expected_code,argv",
@@ -295,6 +305,53 @@ class TestRealizeOnce:
         code, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(realized) == closings
+
+
+class TestValidateOnce:
+    """Each command validates each distinct object once, in the order of
+    first occurrence: the objects of each named map in document order."""
+
+    @pytest.mark.parametrize("argv,maps,objects", [
+        (["hom", str(DATA / "functorial.sset"), "--source", "P",
+          "--target", "P", "--count"], None, ["P"]),
+        (TestGolden.CASES[8][2], ["horn", "collapse", "top", "bottom"], 4),
+        (TestGolden.CASES[10][2], ["insert", "insert2", "idE", "pick_a"],
+         3),
+        (TestGolden.CASES[7][2], ["edge", "collapse"], 3),
+    ], ids=["hom", "lift", "functorial", "pushout"])
+    def test_each_object_once(self, monkeypatch, capsys, argv, maps,
+                              objects):
+        validated = []
+        real = core.validate
+        monkeypatch.setattr(core, "validate",
+                            lambda s: validated.append(s) or real(s))
+        code, _ = run_cli(capsys, *argv)
+        assert code in (0, 1)
+        doc = formats.parse_document(
+            pathlib.Path(argv[1]).read_text())
+        if maps is None:
+            want = [doc.objects[name] for name in objects]
+        else:
+            want = []
+            for name in maps:
+                f = doc.maps[name]
+                want += [obj for obj in doc.objects.values()
+                         if obj in (f.source, f.target) and obj not in want]
+            assert len(want) == objects
+        assert validated == want
+
+    def test_the_first_invalid_object_is_reported(self, tmp_path, capsys):
+        doc = tmp_path / "two_invalid.sset"
+        bad = "  dim 1: e\n  faces e: x ghost\n"
+        doc.write_text(f"sset/1\n\nobject P\n  dim 0: p\n\n"
+                       f"object B1\n  dim 0: x\n{bad}\n"
+                       f"object B2\n  dim 0: x y\n{bad}\n"
+                       "map f : P -> B2\n  p -> x\n\n"
+                       "map g : P -> B1\n  p -> x\n")
+        code = main(["pushout", str(doc), "--i", "f", "--g", "g"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: object 'B2' is invalid:\n")
 
 
 class TestOtherCommands:

@@ -378,9 +378,22 @@ class TestMapErrors:
                           {"0": SimplexRef("0"), "1": SimplexRef("1"),
                            "01": SimplexRef("01")})
 
+    @pytest.mark.parametrize("image", ["0", ("0",), ("0", ()), 0])
+    def test_an_image_that_is_not_a_reference_is_refused(self, image):
+        # map_errors and compose read .base and .word off every image
+        with pytest.raises(ValueError, match="image of '0' is not a "
+                                             "SimplexRef"):
+            SimplicialMap(simplex(0), simplex(0), {"0": image})
+        with pytest.raises(ValueError, match="image of '01'"):
+            SimplicialMap(simplex(1), simplex(0), {
+                "0": SimplexRef("0"), "1": SimplexRef("0"), "01": image})
+
     def test_a_missing_image_is_allowed_and_reported(self):
         f = SimplicialMap(simplex(1), simplex(1),
                           {"0": SimplexRef("0"), "01": SimplexRef("01")})
         assert f.img == (SimplexRef("0"), None, SimplexRef("01"))
         assert "1" not in f.images and f.images.get("1") is None
         assert map_errors(f) == ["no image for 1"]
+        g = SimplicialMap(simplex(1), simplex(1), {
+            "0": SimplexRef("0"), "1": None, "01": SimplexRef("01")})
+        assert g == f

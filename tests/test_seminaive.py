@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import naive_factorization as naive
 from instances import TINY_POOL, circle
 from test_acceptance import _factorization_corpus
-from ssetkit import cells, factorization, formats, lifting
+from test_search import right_maps
+from ssetkit import cells, formats, lifting
 from ssetkit.cells import (
     Attachment,
     PresentationBuilder,
@@ -39,6 +40,7 @@ from ssetkit.formats import print_soa
 from ssetkit.lifting import (
     Lift,
     LiftingProblem,
+    check_rlp,
     enumerate_squares,
     generator_family,
     solve_lift,
@@ -63,6 +65,22 @@ def assert_same_run(new, old):
     assert print_soa(new) == print_soa(old)
 
 
+def key(label, sq):
+    return label, sq.top.img, sq.bottom.img
+
+
+def assert_early_squares_are_the_last_rounds(r):
+    """At every round k >= 1, the squares whose top lies in W_{k-1} are
+    exactly the keys of round k-1's squares: what lets a lookup of the
+    carried witness stand for a test of the top."""
+    for prev, stage in zip(r.stages, r.stages[1:]):
+        early = [key(label, sq) for label, sq in stage.squares
+                 if all(prev.w.has(ref.base) for ref in sq.top.img)]
+        keys = [key(label, sq) for label, sq in prev.squares]
+        assert len(set(keys)) == len(keys) == len(early)
+        assert set(early) == set(keys)
+
+
 def rerun(r):
     return naive.factorize(r.f, r.kind, cap=r.cap, mode=r.mode,
                            budget=r.budget)
@@ -72,6 +90,7 @@ def test_acceptance_runs_match_the_oracle():
     for r in _factorization_corpus():
         old = rerun(r)
         assert_same_run(r, old)
+        assert_early_squares_are_the_last_rounds(r)
         issues = naive.verify_factorization(old).issues
         assert verify_factorization(r).issues == issues
         assert naive.verify_factorization(r).issues == issues
@@ -106,6 +125,7 @@ def test_drawn_runs_match_the_oracle(run):
     new = factorize(f, kind, cap=cap, mode=mode, budget=budget)
     old = naive.factorize(f, kind, cap=cap, mode=mode, budget=budget)
     assert_same_run(new, old)
+    assert_early_squares_are_the_last_rounds(new)
     assert verify_factorization(new).issues == \
         naive.verify_factorization(old).issues
 
@@ -123,6 +143,13 @@ def multi_round_runs():
         factorize(SimplicialMap(empty_sset(), point, {}), "I", cap=2),
         factorize(identity(point), "I", cap=0, mode="faithful", budget=2),
     ]
+
+
+def test_multi_round_runs_carry_exactly_the_last_rounds_squares():
+    runs = multi_round_runs() + [circle_run(), residual_run()]
+    assert sum(len(r.stages) - 1 for r in runs) >= 10
+    for r in runs:
+        assert_early_squares_are_the_last_rounds(r)
 
 
 class TestWitnesses:
@@ -179,7 +206,7 @@ def counting(monkeypatch, module):
 class TestFewerSearches:
     def test_only_squares_with_a_new_top_are_searched(self, monkeypatch):
         f = enumerate_maps(circle(), simplex(0))[0]
-        calls = counting(monkeypatch, factorization)
+        calls = counting(monkeypatch, lifting)
         r = factorize(f, "I", cap=3, budget=3)
         assert r.stages_run == 3
         fresh = len(r.stages[0].squares) + sum(
@@ -192,11 +219,22 @@ class TestFewerSearches:
         naive.factorize(f, "I", cap=3, budget=3)
         assert len(calls) < len(old_calls)
 
+    def test_faithful_rounds_before_the_last_search_nothing(
+            self, monkeypatch):
+        f = enumerate_maps(boundary(1), simplex(0))[0]
+        calls = counting(monkeypatch, lifting)
+        r = factorize(f, "I", cap=1, mode="faithful", budget=2)
+        assert r.stages_run == 3 and r.residual
+        searched = [sq for _, sq in r.stages[-1].squares
+                    if not all(r.stages[-2].w.has(ref.base)
+                               for ref in sq.top.img)]
+        assert searched and calls == searched
+
     def test_the_verifier_searches_only_unwitnessed_final_squares(
             self, monkeypatch):
         searched = skipped = 0
         for r in multi_round_runs() + [residual_run()]:
-            calls = counting(monkeypatch, factorization)
+            calls = counting(monkeypatch, lifting)
             assert verify_factorization(r).ok
             final = [sq for label, gen in generator_family(r.kind, r.cap)
                      for sq in enumerate_squares(gen, r.right)]
@@ -208,6 +246,51 @@ class TestFewerSearches:
             searched += len(unwitnessed)
             skipped += len(final) - len(unwitnessed)
         assert searched and skipped
+
+
+class TestSquareStream:
+    """`check_rlp` against the copy of the earlier code in
+    `naive_factorization`, and its witness hook."""
+
+    @pytest.mark.parametrize("kind,cap", [(kind, cap) for kind in "IJ"
+                                          for cap in range(3)])
+    def test_reports_match_the_oracle(self, kind, cap):
+        for f in right_maps():
+            got, want = check_rlp(f, kind, cap), naive.check_rlp(f, kind, cap)
+            assert got.passed == want.passed
+            assert got.lines() == want.lines()
+
+    def test_right_factors_match_the_oracle(self):
+        for r in _factorization_corpus():
+            for kind in "IJ":
+                got = check_rlp(r.right, kind, r.cap)
+                want = naive.check_rlp(r.right, kind, r.cap)
+                assert got.passed == want.passed
+                assert got.lines() == want.lines()
+
+    def test_entries_hold_the_least_lift_or_none(self):
+        report = check_rlp(enumerate_maps(circle(), simplex(0))[0], "I", 2)
+        assert {d is None for _, _, d in report.entries} == {True, False}
+        for _, sq, d in report.entries:
+            found = solve_lift(sq)
+            assert d == (found.diagonal if isinstance(found, Lift) else None)
+
+    def test_the_hook_keeps_a_diagonal_and_leaves_false_undecided(
+            self, monkeypatch):
+        f = enumerate_maps(boundary(1), simplex(0))[0]
+        searched = check_rlp(f, "I", 1).entries
+        calls = counting(monkeypatch, lifting)
+        kept = check_rlp(f, "I", 1, lambda label, sq: searched[0][2])
+        assert calls == []
+        assert [d for _, _, d in kept.entries] == [searched[0][2]] * len(
+            searched)
+        undecided = check_rlp(f, "I", 1, lambda label, sq: False)
+        assert calls == [] and not undecided.passed
+        assert all(d is False for _, _, d in undecided.entries)
+        assert all(line.endswith(" unsolved") for line in undecided.lines())
+        again = check_rlp(f, "I", 1, lambda label, sq: None)
+        assert len(calls) == len(searched)
+        assert again.lines() == check_rlp(f, "I", 1).lines()
 
 
 def mutated(r, **fields):

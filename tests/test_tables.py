@@ -7,9 +7,14 @@ on.  The
 objects are the standard ones up to dimension 4, the small pool, and every
 stage object of the acceptance-corpus factorizations."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from functools import lru_cache
 
 import indexed_search as indexed
+import ssetkit
 from instances import SMALL_POOL
 from test_acceptance import _factorization_corpus
 from test_search import QUOTIENTS
@@ -118,3 +123,40 @@ def test_no_table_is_built_at_construction():
     _face_index(x, 2)
     assert sorted(k for k in x._memo if k[0] == "tables") == [
         ("tables", 0), ("tables", 1), ("tables", 2)]
+
+
+SPHERE_UNDER_A_LOW_LIMIT = """
+import sys
+from ssetkit.core import FiniteSimplicialSet, SimplexRef, enumerate_maps
+
+n = 120
+face = SimplexRef("v", tuple(range(n - 2, -1, -1)))
+sphere = FiniteSimplicialSet({0: ["v"], n: ["s"]}, {"s": [face] * (n + 1)})
+sys.setrecursionlimit(100)
+print(len(enumerate_maps(sphere, sphere)))
+"""
+
+
+def test_tables_of_a_deep_object_need_no_recursion():
+    # a frame per dimension would not fit under a limit of 100 frames
+    src = pathlib.Path(ssetkit.__file__).resolve().parent.parent
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", SPHERE_UNDER_A_LOW_LIMIT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "2\n"
+
+
+def test_tables_start_from_the_highest_dimension_built():
+    x = FiniteSimplicialSet(dict(enumerate(simplex(3)._by_dim)),
+                            simplex(3)._faces)
+    _tables(x, 1)
+    built = {key for key in x._memo if key[0] == "tables"}
+    assert built == {("tables", 0), ("tables", 1)}
+    _tables(x, 3)
+    assert {key for key in x._memo if key[0] == "tables"} == {
+        ("tables", d) for d in range(4)}
+    for d in range(4):
+        assert _tables(x, d)[0] == enumerate_simplices(x, d)
