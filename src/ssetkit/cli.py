@@ -70,9 +70,8 @@ def _get_map(doc, name):
     return doc.maps[name]
 
 
-def _require_valid(doc, names, checked=None):
-    """Validate the named objects in order, skipping those in `checked`."""
-    checked = set() if checked is None else checked
+def _require_valid(doc, names, checked):
+    """Validate, in order, the named objects not yet in the set `checked`."""
     for name in names:
         obj = doc.objects[name]
         if obj not in checked:
@@ -130,7 +129,7 @@ def _cmd_hom(args):
     doc = _load_document(args.file)
     a = _get_object(doc, args.source)
     x = _get_object(doc, args.target)
-    _require_valid(doc, [args.source, args.target])
+    _require_valid(doc, [args.source, args.target], set())
     maps = core.enumerate_maps(a, x)
     out = [f"hom {args.source} -> {args.target}: {len(maps)} maps"]
     if not args.count:
@@ -284,7 +283,7 @@ def _cmd_functorial(args):
 def _cmd_homology(args):
     doc = _load_document(args.file)
     s = _get_object(doc, args.object)
-    _require_valid(doc, [args.object])
+    _require_valid(doc, [args.object], set())
     groups = homology_groups(s, args.maxdim)
     out = [f"homology object={args.object} maxdim={args.maxdim}"]
     out.extend(f"H{d} = {g}" for d, g in enumerate(groups))

@@ -13,18 +13,19 @@ inputs; a converged run certifies the right factor's lifting property
 directly.
 
 Rounds are semi-naive.  Each round is one `check_rlp` against the current
-factor; its witness hook gives a square at round k >= 1 the witness of the
-previous round's square with the same key (generator, top, bottom), so no
-square whose top lies in the previous stage is searched again.  Each round
-records one witness per square, a diagonal: the lift found, the one carried
-over, or the characteristic map of the cell attached for it.  The verifier
-has one rule for every stage: a witness that passes `verify_lift` settles
-its square, and only a square without one, or with a wrong one, is
-searched.  Its final pass is `check_rlp` on the right factor with the
-recorded witnesses, which enumerates the final squares afresh, so
+factor, whose witness hook gives a square at round k >= 1 the witness of
+the previous round's square with the same (generator, top, bottom) key, so
+no square whose top lies in the previous stage is searched again.  Each
+witness is a diagonal: the lift found or carried over, or the
+characteristic map of the square's cell.  The verifier has one rule for
+every stage: a witness that passes `verify_lift` settles its square; one
+without a witness, or with a wrong one, is searched.  Its final pass is
+`check_rlp` on the right factor with the recorded witnesses, so
 completeness never rests on the producer (the certifying-algorithm pattern:
 the checker checks certificates and never trusts the producer's verdicts).
 """
+
+from itertools import count
 
 from ssetkit.core import ValidationReport, compose
 from ssetkit.cells import PresentationBuilder, realize
@@ -141,9 +142,10 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
             label, sq = squares[idx]
             builder.attach(*label, attaching=sq.top)
         stage = builder.close_stage()
-        witnesses = [d and compose(stage.inclusion, d) for d in diagonals]
-        for idx, char in zip(pending, stage.char_maps):
-            witnesses[idx] = char
+        chars = dict(zip(pending, stage.char_maps))
+        witnesses = [chars[idx] if idx in chars
+                     else compose(stage.inclusion, d)
+                     for idx, d in enumerate(diagonals)]
         stages.append(FactorStage(p_k, squares, pending, witnesses))
         p_k = stage.induced([squares[idx][1].bottom for idx in pending], p_k)
 
@@ -167,7 +169,7 @@ def _checks(result):
     pairs with a wrong witness and those that do not lift, and the final
     entries (label, square, diagonal or None)."""
     stages, last = result.stages, len(result.stages) - 1
-    wrong, failures, seen = [], [], []
+    wrong, failures, position = [], [], count()
 
     def checked(k, idx, sq, w):
         # w if it lifts sq, else None; a w that does not is wrong
@@ -191,8 +193,7 @@ def _checks(result):
     index = _witness_index(stages[-1]) if stages else {}
 
     def recorded(label, sq):
-        seen.append(sq)
-        return checked(last, len(seen) - 1, sq,
+        return checked(last, next(position), sq,
                        index.get((label, sq.top.img, sq.bottom.img)))
 
     report = check_rlp(result.right, result.kind, result.cap, recorded)
@@ -208,9 +209,11 @@ def stage_solvability_failures(result):
 
 def _early_top(result, final):
     """The unlifted final squares whose top lies in the stage before last."""
+    if len(result.stages) < 2:
+        return []
+    before = result.stages[-2].w
     return [idx for idx, (_, sq, d) in enumerate(final)
-            if d is None and len(result.stages) > 1
-            and all(result.stages[-2].w.has(ref.base) for ref in sq.top.img)]
+            if d is None and all(before.has(ref.base) for ref in sq.top.img)]
 
 
 def early_top_failures(result):

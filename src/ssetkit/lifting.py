@@ -8,8 +8,7 @@ When there is none, the exhausted search is the certificate, counted in
 refuted candidates.  `enumerate_squares` takes, for each top A -> X, the
 extensions B -> Y pinned on i(A) by f . top: the bottoms closing a square,
 searched once per distinct f . top.  `check_rlp` decides each generator
-square of a map in (generator, top, bottom) order and keeps its diagonal;
-the factorization rounds and the verifier's final pass read theirs from it.
+square of a map and keeps its diagonal; factorization reads it too.
 """
 
 from dataclasses import dataclass, field
@@ -170,7 +169,8 @@ def generator_family(kind, cap):
 @dataclass(frozen=True)
 class RLPReport:
     """Per-square diagonals of a map against a capped generator family: a
-    lift (a map, so true), None where there is none, or False if undecided."""
+    lift, None where there is none, or False where the internal hook of
+    `check_rlp` left the square undecided (no verdict, so not passed)."""
 
     kind: str
     cap: int
@@ -183,8 +183,10 @@ class RLPReport:
     def lines(self):
         out, counts = [], {}
         for label, _, diagonal in self.entries:
-            idx = counts[label] = counts.get(label, -1) + 1
-            gen = "gen=" + ",".join(map(str, label[1:]))
+            idx = counts.get(label, 0)
+            counts[label] = idx + 1
+            gen = (f"gen={label[1]}" if label[0] == "I"
+                   else f"gen={label[1]},{label[2]}")
             out.append(f"{gen} square#{idx} "
                        f"{'solved' if diagonal else 'unsolved'}")
         return out

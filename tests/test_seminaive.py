@@ -13,7 +13,7 @@ import naive_factorization as naive
 from instances import TINY_POOL, circle
 from test_acceptance import _factorization_corpus
 from test_search import right_maps
-from ssetkit import cells, formats, lifting
+from ssetkit import cells, factorization, formats, lifting
 from ssetkit.cells import (
     Attachment,
     PresentationBuilder,
@@ -235,6 +235,7 @@ class TestFewerSearches:
         searched = skipped = 0
         for r in multi_round_runs() + [residual_run()]:
             calls = counting(monkeypatch, lifting)
+            pushed = counting(monkeypatch, factorization)
             assert verify_factorization(r).ok
             final = [sq for label, gen in generator_family(r.kind, r.cap)
                      for sq in enumerate_squares(gen, r.right)]
@@ -242,7 +243,7 @@ class TestFewerSearches:
             assert [sq for _, sq in last.squares] == final
             unwitnessed = [sq for sq, w in zip(final, last.witnesses)
                            if w is None]
-            assert calls == unwitnessed
+            assert calls == unwitnessed and pushed == []
             searched += len(unwitnessed)
             skipped += len(final) - len(unwitnessed)
         assert searched and skipped
