@@ -330,72 +330,126 @@ def swapped(stage):
                              witnesses)
 
 
+# Planted defects: each builder returns the mutated run and what its test
+# needs to name the issues it must produce.  The corpus records each
+# mutated run's issues as well.
+
+def wrong_witness():
+    r = circle_run()
+    i, j, stage = swapped(r.stages[0])
+    return mutated(r, stages=[stage] + r.stages[1:]), (i, j)
+
+
+def wrong_final_witness():
+    r = circle_run()
+    i, j, stage = swapped(r.stages[-1])
+    return mutated(r, stages=r.stages[:-1] + [stage]), (i, j)
+
+
+def dropped_cell():
+    """The last attachment round rebuilt without its first cell.  Returns
+    the stage k of that round, the dropped square's index there and the
+    index of the final square with the same key."""
+    r = circle_run()
+    k = len(r.stages) - 2
+    stage = r.stages[k]
+    dropped = stage.attached[0]
+    builder = PresentationBuilder(r.f.source)
+    for attachments in r.presentation.stages[:-1]:
+        for att in attachments:
+            builder.attach(att.kind, att.n, att.k, att.attaching)
+        builder.close_stage()
+    kept = stage.attached[1:]
+    for att in r.presentation.stages[-1][1:]:
+        builder.attach(att.kind, att.n, att.k, att.attaching)
+    closed = builder.close_stage()
+    right = closed.induced([stage.squares[idx][1].bottom
+                            for idx in kept], stage.p)
+    realization = builder.realized()
+    squares = [(label, sq) for label, gen in generator_family("I", 3)
+               for sq in enumerate_squares(gen, right)]
+    at = [key(*square) for square in squares].index(
+        key(*stage.squares[dropped]))
+    final = FactorStage(right, squares, [])
+    bad = mutated(r, left=realization.composite(), right=right,
+                  realization=realization,
+                  stages=r.stages[:-1] + [final], residual=[],
+                  converged=True)
+    return bad, (k, dropped, at)
+
+
+def wrong_residual():
+    r = residual_run()
+    assert len(r.residual) > 1
+    return mutated(r, residual=r.residual[1:]), ()
+
+
+def final_square_that_no_longer_solves():
+    r = residual_run()
+    assert r.residual
+    return mutated(r, residual=[], converged=True), ()
+
+
+def wrong_projection():
+    """Stage 1 gets a projection that is not the run's, so some squares of
+    stage 0 no longer commute once pushed into stage 1.  Returns those
+    squares' indices."""
+    f = enumerate_maps(boundary(1), simplex(1))[0]
+    r = factorize(f, "I", cap=1, mode="reduced", budget=3)
+    assert len(r.stages) == 3 and verify_factorization(r).ok
+    s = r.stages[1]
+    wrong = enumerate_maps(s.p.source, s.p.target)[1]
+    assert wrong != s.p
+    stage = FactorStage(wrong, s.squares, s.attached, s.witnesses)
+    bad = mutated(r, stages=[r.stages[0], stage, r.stages[2]])
+    inc = r.realization.stage_data[0].inclusion
+    broken = [idx for idx, (_, sq) in enumerate(r.stages[0].squares)
+              if compose(wrong, compose(inc, sq.top))
+              != compose(sq.bottom, sq.left)]
+    assert broken
+    return bad, broken
+
+
+MUTATIONS = [wrong_witness, wrong_final_witness, dropped_cell,
+             wrong_residual, final_square_that_no_longer_solves,
+             wrong_projection]
+
+
 class TestMutations:
     def test_wrong_witness(self):
-        r = circle_run()
-        i, j, stage = swapped(r.stages[0])
-        report = verify_factorization(
-            mutated(r, stages=[stage] + r.stages[1:]))
-        assert report.issues == [
+        bad, (i, j) = wrong_witness()
+        assert verify_factorization(bad).issues == [
             f"stage 0: square #{idx} has a witness that is not a lift "
             "through the next stage" for idx in (i, j)]
 
     def test_wrong_final_witness(self):
-        r = circle_run()
-        i, j, stage = swapped(r.stages[-1])
-        report = verify_factorization(
-            mutated(r, stages=r.stages[:-1] + [stage]))
-        assert report.issues == [
+        bad, (i, j) = wrong_final_witness()
+        assert verify_factorization(bad).issues == [
             f"final stage: square #{idx} has a witness that is not a lift"
             for idx in (i, j)]
 
     def test_dropped_cell(self):
-        r = circle_run()
-        k = len(r.stages) - 2
-        stage = r.stages[k]
-        dropped = stage.attached[0]
-        # rebuild the last attachment round without the first cell
-        builder = PresentationBuilder(r.f.source)
-        for attachments in r.presentation.stages[:-1]:
-            for att in attachments:
-                builder.attach(att.kind, att.n, att.k, att.attaching)
-            builder.close_stage()
-        kept = stage.attached[1:]
-        for att in r.presentation.stages[-1][1:]:
-            builder.attach(att.kind, att.n, att.k, att.attaching)
-        closed = builder.close_stage()
-        right = closed.induced([stage.squares[idx][1].bottom
-                                for idx in kept], stage.p)
-        realization = builder.realized()
-        squares = [(label, sq) for label, gen in generator_family("I", 3)
-                   for sq in enumerate_squares(gen, right)]
-        final = FactorStage(right, squares, [])
-        bad = mutated(r, left=realization.composite(), right=right,
-                      realization=realization,
-                      stages=r.stages[:-1] + [final], residual=[],
-                      converged=True)
+        bad, (k, dropped, at) = dropped_cell()
         issues = verify_factorization(bad).issues
         assert (f"stage {k}: square #{dropped} has a witness that is not a "
                 "lift through the next stage") in issues
         assert (f"stage {k}: square #{dropped} does not lift through the "
                 "next stage") in issues
-        assert any(line.startswith("final stage:") for line in issues)
+        assert [line for line in issues if line.startswith("final stage:")] \
+            == [f"final stage: square #{at} has an early-born top but no "
+                "lift"]
         assert "rlp: converged run's right factor fails check_rlp" in issues
         assert set(naive.verify_factorization(bad).issues) <= set(issues)
 
     def test_wrong_residual(self):
-        r = residual_run()
-        assert len(r.residual) > 1
-        bad = mutated(r, residual=r.residual[1:])
+        bad, _ = wrong_residual()
         issues = verify_factorization(bad).issues
         assert issues == ["residual: recorded residual does not match "
                           "re-solve"]
         assert naive.verify_factorization(bad).issues == issues
 
     def test_final_square_that_no_longer_solves(self):
-        r = residual_run()
-        assert r.residual
-        bad = mutated(r, residual=[], converged=True)
+        bad, _ = final_square_that_no_longer_solves()
         issues = verify_factorization(bad).issues
         assert issues == [
             "residual: recorded residual does not match re-solve",
@@ -403,22 +457,8 @@ class TestMutations:
         assert naive.verify_factorization(bad).issues == issues
 
     def test_wrong_projection(self):
-        # stage 1 gets a projection that is not the run's, so some squares
-        # of stage 0 no longer commute once pushed into stage 1: they have
-        # no lift and are reported, not raised
-        f = enumerate_maps(boundary(1), simplex(1))[0]
-        r = factorize(f, "I", cap=1, mode="reduced", budget=3)
-        assert len(r.stages) == 3 and verify_factorization(r).ok
-        s = r.stages[1]
-        wrong = enumerate_maps(s.p.source, s.p.target)[1]
-        assert wrong != s.p
-        stage = FactorStage(wrong, s.squares, s.attached, s.witnesses)
-        bad = mutated(r, stages=[r.stages[0], stage, r.stages[2]])
-        inc = r.realization.stage_data[0].inclusion
-        broken = [idx for idx, (_, sq) in enumerate(r.stages[0].squares)
-                  if compose(wrong, compose(inc, sq.top))
-                  != compose(sq.bottom, sq.left)]
-        assert broken
+        # the broken squares have no lift and are reported, not raised
+        bad, broken = wrong_projection()
         issues = verify_factorization(bad).issues
         lifts = [line for line in issues if "does not lift" in line]
         assert lifts == [f"stage 0: square #{idx} does not lift through the "
