@@ -23,6 +23,8 @@ without a witness, or with a wrong one, is searched.  Its final pass is
 `check_rlp` on the right factor with the recorded witnesses, so
 completeness never rests on the producer (the certifying-algorithm pattern:
 the checker checks certificates and never trusts the producer's verdicts).
+`verify_factorization` is the verifier's one entry point: its residual,
+early-top and lifting-property checks all read that single pass.
 """
 
 from itertools import count
@@ -200,39 +202,19 @@ def _checks(result):
     return wrong, failures, report.entries
 
 
-def stage_solvability_failures(result):
-    """The heart of the construction: every square of a stage followed by
-    an attachment round lifts through the next stage.  Returns the (stage,
-    square index) pairs where this fails."""
-    return _checks(result)[1]
-
-
-def _early_top(result, final):
-    """The unlifted final squares whose top lies in the stage before last."""
-    if len(result.stages) < 2:
-        return []
-    before = result.stages[-2].w
-    return [idx for idx, (_, sq, d) in enumerate(final)
-            if d is None and all(before.has(ref.base) for ref in sq.top.img)]
-
-
-def early_top_failures(result):
-    """Squares at the final stage whose top factors through a stage strictly
-    below the last attachment round must be solvable: their restriction was
-    enumerated back then and a cell (or an existing lift) covers it.  This is
-    the finiteness step that lets capped runs certify anything at all."""
-    return _early_top(result, _checks(result)[2])
-
-
 def verify_factorization(result):
     """Re-check a factorization from scratch: composite equality, agreement
     of the recorded presentation with the left factor, residual accuracy,
-    the witness and solvability of every square of every stage, the
-    early-top solvability of the final stage, and (when the residual is
-    empty) the full lifting property of the right factor at the run's cap.
-    The last four read one pass (`_checks`), which searches only squares
-    without a valid witness and ends with `check_rlp` against the right
-    factor, given the recorded witnesses.  Returns a `ValidationReport`."""
+    the witness and solvability of every square of every stage (each must
+    lift through the next stage: the heart of the construction), the
+    early-top solvability of the final stage (a final square whose top lies
+    in the stage before last was covered at the last attachment round: the
+    finiteness step that lets a capped run certify anything), and (when the
+    residual is empty) the full lifting property of the right factor at the
+    run's cap.  The last four read one pass (`_checks`), which searches only
+    squares without a valid witness and ends with `check_rlp` against the
+    right factor, given the recorded witnesses.  Returns a
+    `ValidationReport`."""
     issues = []
     r = result
     if compose(r.right, r.left) != r.f:
@@ -261,8 +243,12 @@ def verify_factorization(result):
                "stage" for k, idx in failures]
     issues += [f"final stage: square #{idx} has a witness that is not a "
                "lift" for k, idx in wrong if k == last]
-    issues += [f"final stage: square #{idx} has an early-born top but no "
-               "lift" for idx in _early_top(r, final)]
+    if len(r.stages) > 1:
+        before = r.stages[-2].w
+        early = [idx for idx, (_, sq, d) in enumerate(final) if d is None
+                 and all(before.has(ref.base) for ref in sq.top.img)]
+        issues += [f"final stage: square #{idx} has an early-born top but "
+                   "no lift" for idx in early]
 
     if not r.residual and unsolved:
         issues.append("rlp: converged run's right factor fails check_rlp")

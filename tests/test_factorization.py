@@ -15,10 +15,8 @@ from ssetkit.colimits import coproduct
 from ssetkit.cells import j_to_i_presentation, realize
 from ssetkit.lifting import check_rlp
 from ssetkit.factorization import (
-    early_top_failures,
     factorize,
     induced_factorization_map,
-    stage_solvability_failures,
     verify_factorization,
 )
 
@@ -94,7 +92,8 @@ class TestFactorize:
         for f, kind in [(point_insertion(), "I"),
                         (the_map(boundary(1), simplex(0)), "I")]:
             r = factorize(f, kind, cap=1, mode="reduced", budget=3)
-            assert stage_solvability_failures(r) == []
+            report = verify_factorization(r)
+            assert report.ok, str(report)
 
     def test_presentation_realizes_to_left(self):
         r = factorize(point_insertion(), "I", cap=2, mode="reduced")
@@ -118,7 +117,9 @@ class TestFactorize:
         r = factorize(the_map(boundary(1), simplex(0)), "I", cap=2,
                       mode="reduced", budget=1)
         assert not r.converged
-        assert early_top_failures(r) == []
+        before = r.stages[-2].w
+        assert any(all(before.has(ref.base) for ref in sq.top.img)
+                   for _, sq in r.stages[-1].squares)
         assert verify_factorization(r).ok
 
 
