@@ -86,8 +86,9 @@ def _require_maps(doc, *names):
     checked, maps = set(), []
     for name in names:
         f = _get_map(doc, name)
-        _require_valid(doc, [obj_name for obj_name, obj in doc.objects.items()
-                             if obj in (f.source, f.target)], checked)
+        endpoints = doc.map_endpoints[name]
+        _require_valid(doc, [obj_name for obj_name in doc.objects
+                             if obj_name in endpoints], checked)
         errors = core.map_errors(f)
         if errors:
             raise InputError(f"map {name!r} is not simplicial:\n"
@@ -97,8 +98,11 @@ def _require_maps(doc, *names):
 
 
 def _doc_name(doc, obj):
+    """The document's name for this very object: objects equal in value
+    may have different names, and a parsed map holds the objects its
+    declaration names."""
     for name, candidate in doc.objects.items():
-        if candidate == obj:
+        if candidate is obj:
             return name
     return None
 
@@ -153,8 +157,8 @@ def _cmd_pushout(args):
     for name in p.corner.names():
         out.append(f"provenance {name}: {p.origin(name)}")
     report = Document()
-    b_name = _doc_name(doc, i.target) or "b"
-    c_name = _doc_name(doc, g.target) or "c"
+    b_name = _doc_name(doc, i.target)
+    c_name = _doc_name(doc, g.target)
     report.objects[b_name] = i.target
     report.objects[c_name] = g.target
     corner = "corner"
@@ -182,8 +186,8 @@ def _cmd_lift(args):
     found = solve_lift(problem)
     if isinstance(found, Lift):
         report = Document()
-        b_name = _doc_name(doc, problem.left.target) or "b"
-        x_name = _doc_name(doc, problem.right.source) or "x"
+        b_name = _doc_name(doc, problem.left.target)
+        x_name = _doc_name(doc, problem.right.source)
         report.objects[b_name] = problem.left.target
         report.objects[x_name] = problem.right.source
         report.add_map("diagonal", found.diagonal, b_name, x_name)
@@ -224,7 +228,7 @@ def _cmd_factor_stage(args):
         raise InputError(f"map {args.map!r} does not land in the final stage")
     k, factored = factor_through_stage(res, m)
     report = Document()
-    src_name = _doc_name(doc, m.source) or "k"
+    src_name = _doc_name(doc, m.source)
     report.objects[src_name] = m.source
     stage_name = _doc_name(doc, factored.target) or f"stage{k}"
     report.objects[stage_name] = factored.target

@@ -351,6 +351,34 @@ class TestValidateOnce:
             "error: object 'B2' is invalid:\n")
 
 
+class TestDeclaredNames:
+    """Objects equal in value keep the names their maps were declared
+    with, in errors and in reports."""
+
+    def test_an_invalid_object_is_named_as_declared(self, capsys):
+        code = main(["we-cert", str(DATA / "invalid_twins.sset"),
+                     "--map", "f"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: object 'B2' is invalid:\n")
+
+    def test_pushout_names_each_leg_as_declared(self, tmp_path, capsys):
+        doc = tmp_path / "twins.sset"
+        doc.write_text("sset/1\n\nobject A\n  dim 0: x\n\n"
+                       "object B1\n  dim 0: x\n\nobject B2\n  dim 0: x\n\n"
+                       "map i : A -> B2\n  x -> x\n\n"
+                       "map g : A -> B1\n  x -> x\n")
+        code, out = run_cli(capsys, "pushout", str(doc), "--i", "i",
+                            "--g", "g")
+        assert code == 0
+        assert out == ("pushout: corner has 1 simplices\n"
+                       "provenance i0_x: glued\n\nsset/1\n\n"
+                       "object B2\n  dim 0: x\n\nobject B1\n  dim 0: x\n\n"
+                       "object corner\n  dim 0: i0_x\n\n"
+                       "map leg_b : B2 -> corner\n  x -> i0_x\n\n"
+                       "map leg_c : B1 -> corner\n  x -> i0_x\n")
+
+
 class TestOtherCommands:
     def test_hom_count(self, capsys):
         code, out = run_cli(capsys, "hom", str(DATA / "functorial.sset"),
