@@ -98,9 +98,8 @@ def _require_maps(doc, *names):
 
 
 def _doc_name(doc, obj):
-    """The document's name for this very object: objects equal in value
-    may have different names, and a parsed map holds the objects its
-    declaration names."""
+    """The name of this very object: a parsed map holds the objects its
+    declaration names, and objects equal to them may have other names."""
     for name, candidate in doc.objects.items():
         if candidate is obj:
             return name
