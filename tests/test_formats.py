@@ -229,6 +229,29 @@ class TestCellpresFormat:
         with pytest.raises(FormatError, match="contiguous"):
             parse_cellpres(bad)
 
+    HORN_STAGE = "stage=1 gen=J n=2 k=1 attach=attach1_0"
+
+    @pytest.mark.parametrize("stage_line,message", [
+        ("stage=1 gen=J n=2 attach=attach1_0",
+         "line 3: horn attachment needs k="),
+        ("stage=1 gen=I n=2 k=1 attach=attach1_0",
+         "line 3: boundary attachment takes no k="),
+        ("stage=1 gen=J n=2 k=0 attach=attach1_0",
+         "line 3: map 'attach1_0' does not start at the declared generator "
+         "source"),
+    ], ids=["horn_without_k", "boundary_with_k", "wrong_source"])
+    def test_bad_stage_line(self, stage_line, message):
+        text = (DATA / "horn_fill.cellpres").read_text()
+        assert self.HORN_STAGE in text
+        with pytest.raises(FormatError) as exc:
+            parse_cellpres(text.replace(self.HORN_STAGE, stage_line))
+        assert str(exc.value) == message
+
+    def test_missing_sset_section(self):
+        with pytest.raises(FormatError) as exc:
+            parse_cellpres("cellpres/1\nbase base\n\n# no body\n")
+        assert str(exc.value) == "line 2: missing embedded sset/1 section"
+
     def test_empty_presentation_roundtrip(self):
         from ssetkit.cells import CellPresentation
         pres = CellPresentation(simplex(1), ())
