@@ -11,6 +11,23 @@ The cases come from the tests' own generators, never from `bench/`:
 - `mutation.NAME.verify`: the issues of `test_seminaive`'s planted defects.
 - `rlp.NNN.KC`: `check_rlp(f, K, C).lines()` and the diagonals' images for
   each map f of `test_search.right_maps()`, K in I/J and cap C in 0..2.
+- `hom.A.X`: `enumerate_maps(A, X)` in order, one map's images a line, for
+  A and X among the objects of `instances.SMALL_POOL` (named `poolNN` by
+  position) and the simplices, boundaries and horns of dimension <= 3.
+- `refuted.NNN.KC`: `solve_lift`'s `NoLift.refuted` for each square the
+  `rlp` sweep leaves unsolved, by square index; cases with none are left
+  out.
+- `homology.NAME`: `homology_groups` up to one past the object's dimension,
+  for the objects of data/homology.sset and the boundaries of dimension
+  <= 6.
+- `wecert.NAME`: `weak_equivalence_certificate(i, d).line()` and its
+  failure, for d in 0..n, on the horn and boundary inclusions into the
+  n-simplex with n <= 4.
+- `j2i.NAME`: `j_to_i_presentation`'s converted presentation
+  (`print_cellpres`) and the isomorphism's images, for
+  data/horn_fill.cellpres, the J runs of the acceptance corpus (named by
+  their `acceptance` number) and the first presentations of acceptance
+  criterion 6 (`criterion6.NN`).
 
 Rewrite the file after a change that is meant to move outputs, and say
 which cases moved and why:
@@ -20,15 +37,33 @@ which cases moved and why:
 
 import hashlib
 import pathlib
+import random
 
 import test_seminaive
+from instances import NONEMPTY_POOL, SMALL_POOL, random_j_presentation
 from test_acceptance import _factorization_corpus
 from test_search import right_maps
+from ssetkit.cells import j_to_i_presentation
+from ssetkit.core import (
+    boundary,
+    boundary_inclusion,
+    enumerate_maps,
+    horn,
+    horn_inclusion,
+    simplex,
+)
 from ssetkit.factorization import verify_factorization
-from ssetkit.formats import print_soa
-from ssetkit.lifting import check_rlp
+from ssetkit.formats import (
+    parse_cellpres,
+    parse_document,
+    print_cellpres,
+    print_soa,
+)
+from ssetkit.homology import homology_groups, weak_equivalence_certificate
+from ssetkit.lifting import check_rlp, solve_lift
 
-CORPUS = pathlib.Path(__file__).parent / "data" / "golden" / "corpus.txt"
+DATA = pathlib.Path(__file__).parent / "data"
+CORPUS = DATA / "golden" / "corpus.txt"
 
 
 def ref_text(ref):
@@ -95,11 +130,97 @@ def rlp_cases():
                        "\n".join(report.lines() + diagonals))
 
 
+def hom_objects():
+    """(name, object) for the pool and the standard objects of dimension
+    <= 3, each object once, under the first name it is met by."""
+    named = [(f"pool{t:02d}", s) for t, s in enumerate(SMALL_POOL)]
+    for n in range(4):
+        named += [(f"simplex{n}", simplex(n)), (f"boundary{n}", boundary(n))]
+        named += [(f"horn{n}_{k}", horn(n, k))
+                  for k in range(n + 1) if n >= 1]
+    out = []
+    for name, s in named:
+        if all(s != seen for _, seen in out):
+            out.append((name, s))
+    return out
+
+
+def hom_cases():
+    objects = hom_objects()
+    for a_name, a in objects:
+        for x_name, x in objects:
+            yield (f"hom.{a_name}.{x_name}",
+                   "\n".join(map_text(m) for m in enumerate_maps(a, x)))
+
+
+def refuted_cases():
+    for n, f in enumerate(right_maps()):
+        for kind in "IJ":
+            for cap in range(3):
+                lines = [f"{t} {solve_lift(sq).refuted}"
+                         for t, (_, sq, d) in enumerate(
+                             check_rlp(f, kind, cap).entries) if d is None]
+                if lines:
+                    yield f"refuted.{n:03d}.{kind}{cap}", "\n".join(lines)
+
+
+def homology_cases():
+    doc = parse_document((DATA / "homology.sset").read_text(encoding="utf-8"))
+    named = list(doc.objects.items()) + [
+        (f"boundary{n}", boundary(n)) for n in range(7)]
+    for name, s in named:
+        groups = homology_groups(s, s.dim + 1)
+        yield f"homology.{name}", "\n".join(
+            f"H{d} = {g}" for d, g in enumerate(groups))
+
+
+def wecert_cases():
+    named = []
+    for n in range(5):
+        named += [(f"horn{n}_{k}", horn_inclusion(n, k))
+                  for k in range(n + 1) if n >= 1]
+        named.append((f"boundary{n}", boundary_inclusion(n)))
+    for name, i in named:
+        lines = []
+        for maxdim in range(i.target.dim + 1):
+            cert = weak_equivalence_certificate(i, maxdim)
+            lines.append(cert.line() if cert.passed
+                         else f"{cert.line()} {cert.failure[1]}")
+        yield f"wecert.{name}", "\n".join(lines)
+
+
+def j_presentations():
+    """(name, horn presentation) for the conversion cases."""
+    pres, _ = parse_cellpres(
+        (DATA / "horn_fill.cellpres").read_text(encoding="utf-8"))
+    yield "horn_fill", pres
+    for n, r in enumerate(_factorization_corpus()):
+        if r.kind == "J":
+            yield f"acceptance.{n:02d}", r.presentation
+    rng = random.Random(601)
+    for n in range(20):
+        base = rng.choice(NONEMPTY_POOL)
+        builder = random_j_presentation(rng, base, max_stages=2,
+                                        max_cells=3, max_dim=2)
+        yield f"criterion6.{n:02d}", builder.presentation()
+
+
+def j2i_cases():
+    for name, pres in j_presentations():
+        converted, iso = j_to_i_presentation(pres)
+        yield f"j2i.{name}", print_cellpres(converted) + map_text(iso)
+
+
 FAMILIES = {
     "acceptance": acceptance_cases,
     "seminaive": seminaive_cases,
     "mutation": mutation_cases,
     "rlp": rlp_cases,
+    "hom": hom_cases,
+    "refuted": refuted_cases,
+    "homology": homology_cases,
+    "wecert": wecert_cases,
+    "j2i": j2i_cases,
 }
 
 
