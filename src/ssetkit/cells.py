@@ -36,7 +36,7 @@ from ssetkit.core import (
     map_errors,
     simplex,
 )
-from ssetkit.colimits import sequential_colimit
+from ssetkit.colimits import _induced, sequential_colimit
 from ssetkit.lifting import generator
 
 
@@ -110,16 +110,9 @@ class StageData:
                 or any(m.source != char.source
                        for char, m in zip(self.char_maps, cell_maps))):
             raise ValueError("induced: cocone does not match the stage")
-        images = dict(zip(from_c.source.names(), from_c.img))
-        for char, m in zip(self.char_maps, cell_maps):
-            for ref, want in zip(char.img, m.img):
-                images.setdefault(ref.base, want)
-        h = SimplicialMap(self.inclusion.target, from_c.target, images)
-        if compose(h, self.inclusion) != from_c or any(
-                compose(h, char) != m
-                for char, m in zip(self.char_maps, cell_maps)):
-            raise ValueError("induced: cocone does not commute")
-        return h
+        return _induced(self.inclusion.target,
+                        [self.inclusion, *self.char_maps],
+                        [from_c, *cell_maps], "induced")
 
 
 class RealizeResult:
@@ -349,18 +342,13 @@ def j_to_i_presentation(presentation):
 
 
 def _check_iso(h):
-    """Verify that a map is an isomorphism by inverting its assignment of
-    nondegenerate simplices."""
-    src, tgt = h.source, h.target
-    if src.size() != tgt.size():
-        raise RuntimeError("conversion map is not an isomorphism (size)")
-    inverse = {}
-    for n, img in zip(src.names(), h.img):
-        if img.word or img.base in inverse:
-            raise RuntimeError("conversion map is not an isomorphism")
-        inverse[img.base] = n
-    inv = _positional(tgt, src, tuple(SimplexRef(inverse[m])
-                                      for m in tgt.names()))
-    if compose(inv, h) != identity(src) or compose(h, inv) != identity(tgt):
-        raise RuntimeError("conversion map is not an isomorphism (inverse)")
-    return inv
+    """Verify that a map is an isomorphism: the map out of its target
+    induced along it by the identity is a left inverse (`_induced` checks
+    that), and it must be a right inverse too."""
+    try:
+        inv = _induced(h.target, [h], [identity(h.source)], "conversion")
+        if compose(h, inv) == identity(h.target):
+            return inv
+    except ValueError:
+        pass
+    raise RuntimeError("conversion map is not an isomorphism")

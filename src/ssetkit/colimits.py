@@ -16,7 +16,6 @@ simplex is read off the two legs.
 from ssetkit.core import (
     FiniteSimplicialSet,
     SimplexRef,
-    SimplicialMap,
     _degenerate,
     _positional,
     compose,
@@ -45,6 +44,23 @@ class _DisjointSet:
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[ry] = rx
+
+
+def _induced(obj, legs, maps, who):
+    """The map out of `obj` that restricts to maps[t] along legs[t], legs
+    jointly surjective on nondegenerate simplices: each one goes where its
+    first nondegenerate preimage goes, legs in order.  The cocone is
+    re-verified, so a map that does not restrict as asked is refused."""
+    images = {}
+    for leg, m in zip(legs, maps):
+        for ref, want in zip(leg.img, m.img):
+            if not ref.word:
+                images.setdefault(ref.base, want)
+    h = _positional(obj, maps[0].target, tuple(map(images.get, obj.names())))
+    if any(m.source != leg.source or compose(h, leg) != m
+           for leg, m in zip(legs, maps)):
+        raise ValueError(f"{who}: cocone does not commute")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +99,9 @@ def coproduct_induced(cop, injections, maps):
         if not cop.is_empty:
             raise ValueError("coproduct_induced: no maps for nonempty coproduct")
         raise ValueError("coproduct_induced: empty family needs explicit target")
-    target = maps[0].target
-    images = {}
-    for inj, m in zip(injections, maps):
-        if m.target != target:
-            raise ValueError("coproduct_induced: targets disagree")
-        images.update(zip((ref.base for ref in inj.img), m.img))
-    return SimplicialMap(cop, target, images)
+    if any(m.target != maps[0].target for m in maps):
+        raise ValueError("coproduct_induced: targets disagree")
+    return _induced(cop, injections, maps, "coproduct_induced")
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +190,8 @@ def pushout_induced(p, from_b, from_c):
     the cocone is a precondition and is re-verified on the result."""
     if from_b.target != from_c.target:
         raise ValueError("pushout_induced: cocone targets disagree")
-    img = []
-    for name in p.corner.names():
-        froms_b, froms_c = p.provenance[name]
-        img.append(from_b(SimplexRef(froms_b[0])) if froms_b
-                   else from_c(SimplexRef(froms_c[0])))
-    h = _positional(p.corner, from_b.target, tuple(img))
-    if compose(h, p.leg_from_b) != from_b or compose(h, p.leg_from_c) != from_c:
-        raise ValueError("pushout_induced: cocone does not commute")
-    return h
+    return _induced(p.corner, [p.leg_from_b, p.leg_from_c], [from_b, from_c],
+                    "pushout_induced")
 
 
 # ---------------------------------------------------------------------------

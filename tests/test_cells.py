@@ -20,10 +20,12 @@ from ssetkit.cells import (
     Attachment,
     CellPresentation,
     PresentationBuilder,
+    _check_iso,
     factor_through_stage,
     j_to_i_presentation,
     realize,
 )
+from ssetkit.lifting import generator
 
 
 def empty_map(target):
@@ -114,6 +116,72 @@ class TestRealize:
         for stage in b.stage_data:
             for ch in stage.char_maps:
                 assert is_map(ch)
+
+
+def small_stages():
+    """The stages of `build_circle`, and the one- and two-cell stages of
+    I- and J-cells over the point, the interval and its boundary, each
+    attached along the first and along the last map of its hom-set."""
+    stages = list(build_circle().stage_data)
+    for base in (simplex(0), simplex(1), boundary(1)):
+        for label in (("I", 0), ("I", 1), ("J", 1, 0), ("J", 2, 1)):
+            homs = enumerate_maps(generator(*label).source, base)
+            for cells in ([homs[0]], [homs[-1]], [homs[0], homs[-1]]):
+                b = PresentationBuilder(base)
+                for att in cells:
+                    b.attach(*label, attaching=att)
+                stages.append(b.close_stage())
+    return stages
+
+
+class TestStageInduced:
+    def test_universal_property_exhaustive_small(self):
+        # a cocone on a stage is restricted from exactly one map out of the
+        # stage when it commutes, and is refused when it does not
+        targets = [simplex(0), simplex(1), boundary(1)]
+        for stage in small_stages():
+            legs = [stage.inclusion, *stage.char_maps]
+            for t in targets:
+                mediating = {}
+                for m in enumerate_maps(stage.inclusion.target, t):
+                    key = tuple(compose(m, leg) for leg in legs)
+                    mediating.setdefault(key, []).append(m)
+                cocones = [()]
+                for leg in legs:
+                    cocones = [c + (m,) for c in cocones
+                               for m in enumerate_maps(leg.source, t)]
+                for from_c, *cell_maps in cocones:
+                    want = mediating.get((from_c, *cell_maps))
+                    if want is None:
+                        with pytest.raises(ValueError,
+                                           match="does not commute"):
+                            stage.induced(cell_maps, from_c)
+                    else:
+                        assert want == [stage.induced(cell_maps, from_c)]
+
+    @pytest.mark.parametrize("h", [
+        SimplicialMap(boundary(1), simplex(1),
+                      {"0": SimplexRef("0"), "1": SimplexRef("1")}),
+        SimplicialMap(boundary(1), simplex(0),
+                      {"0": SimplexRef("0"), "1": SimplexRef("0")}),
+        SimplicialMap(simplex(1), simplex(0),
+                      {"0": SimplexRef("0"), "1": SimplexRef("0"),
+                       "01": SimplexRef("0", (0,))}),
+    ], ids=["not_onto", "not_injective", "degenerate_image"])
+    def test_non_isomorphisms_are_refused(self, h):
+        with pytest.raises(RuntimeError,
+                           match="conversion map is not an isomorphism"):
+            _check_iso(h)
+
+    def test_inverse_of_an_isomorphism(self):
+        res = build_circle().realized()
+        renamed = FiniteSimplicialSet({0: ["v"], 1: ["e"]},
+                                      {"e": [SimplexRef("v")] * 2})
+        h = SimplicialMap(res.final, renamed, dict(zip(
+            res.final.names(), map(SimplexRef, renamed.names()))))
+        inv = _check_iso(h)
+        assert compose(inv, h) == identity(res.final)
+        assert compose(h, inv) == identity(renamed)
 
 
 class TestFactorThroughStage:

@@ -67,6 +67,31 @@ class TestCoproduct:
         assert compose(h, injs[0]) == maps[0]
         assert compose(h, injs[1]) == maps[1]
 
+    def test_summand_map_from_another_object_is_refused(self):
+        # the second summand is a point, but its map starts at the interval
+        out, injs = coproduct([simplex(0), simplex(0)])
+        m0 = enumerate_maps(simplex(0), simplex(1))[0]
+        with pytest.raises(ValueError, match="coproduct_induced: cocone "
+                                             "does not commute"):
+            coproduct_induced(out, injs, [m0, identity(simplex(1))])
+
+    def test_universal_property_exhaustive_small(self):
+        # every pair of maps out of two pool objects is restricted from
+        # exactly one map out of their coproduct
+        targets = [simplex(0), simplex(1), boundary(1)]
+        for a in SMALL_POOL:
+            for b in SMALL_POOL:
+                out, (inj_a, inj_b) = coproduct([a, b])
+                for t in targets:
+                    mediating = {}
+                    for m in enumerate_maps(out, t):
+                        key = (compose(m, inj_a), compose(m, inj_b))
+                        mediating.setdefault(key, []).append(m)
+                    for u in enumerate_maps(a, t):
+                        for v in enumerate_maps(b, t):
+                            h = coproduct_induced(out, [inj_a, inj_b], [u, v])
+                            assert mediating[u, v] == [h]
+
 
 class TestPushout:
     def test_circle_from_interval(self):
