@@ -41,6 +41,9 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from exc
 
 
 def _load_document(path):
@@ -406,8 +409,12 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            sys.stderr.write(f"error: {args.out}: {exc.strerror or exc}\n")
+            return 2
     else:
         sys.stdout.write(report)
     return code

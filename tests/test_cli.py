@@ -177,6 +177,57 @@ map f : BAD -> P
         code, _ = run_cli(capsys, "we-cert", str(doc), "--map", "f")
         assert code == 2
 
+    def assert_input_error(self, capsys, argv, *names):
+        """Exit 2 with one `error:` line naming each of `names`, and
+        nothing on stdout."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert all(name in captured.err for name in names)
+
+    VALIDATE = ["validate", str(DATA / "homology.sset")]
+
+    def test_out_path_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "x.txt"
+        self.assert_input_error(capsys, self.VALIDATE + ["--out", str(out)],
+                                str(out))
+        assert not out.parent.exists()
+
+    def test_out_path_that_is_a_directory(self, tmp_path, capsys):
+        self.assert_input_error(capsys,
+                                self.VALIDATE + ["--out", str(tmp_path)],
+                                str(tmp_path))
+
+    def test_undecodable_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.sset"
+        bad.write_bytes(b"sset/1\n\xff\xfe\n")
+        self.assert_input_error(capsys, ["validate", str(bad)], str(bad),
+                                "not UTF-8 text")
+
+    def test_edge_sent_to_a_vertex(self, tmp_path, capsys):
+        doc = tmp_path / "drop.sset"
+        doc.write_text("sset/1\n\nobject A\n  dim 0: a b\n  dim 1: e\n"
+                       "  faces e: b a\n\nobject P\n  dim 0: p\n\n"
+                       "map f : A -> P\n  a -> p\n  b -> p\n  e -> p\n")
+        code = main(["we-cert", str(doc), "--map", "f"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: map 'f' is not simplicial:\n"
+                                "image of e has wrong dimension\n")
+
+    def test_non_integer_count_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rlp", str(DATA / "rlp_boundary.sset"), "--map", "collapse",
+                  "--gen", "I", "--cap", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --cap: expected a nonnegative integer, got 'x'" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_is_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["validate", str(DATA / "rlp_boundary.sset"), "--bogus"])
