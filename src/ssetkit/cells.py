@@ -40,6 +40,17 @@ from ssetkit.colimits import _induced, sequential_colimit
 from ssetkit.lifting import generator
 
 
+def _is_generator_source(source, kind, n, k):
+    """Whether `source` is the source of the generator (kind, n, k).  The
+    boundary of the n-simplex has dimension n - 1 and 2^(n+1) - 2
+    simplices, and a horn one fewer, so any other object is told apart
+    before a generator as large as it is built; building the generator
+    refuses impossible parameters (ValueError)."""
+    return (source.dim == n - 1
+            and source.size() == 2 ** (n + 1) - (2 if kind == "I" else 3)
+            and source == generator(kind, n, k).source)
+
+
 @dataclass(frozen=True)
 class Attachment:
     """One cell attachment: a generator (boundary inclusion for kind "I",
@@ -52,8 +63,8 @@ class Attachment:
     attaching: SimplicialMap
 
     def __post_init__(self):
-        if self.attaching.source != generator(self.kind, self.n,
-                                              self.k).source:
+        if not _is_generator_source(self.attaching.source, self.kind, self.n,
+                                    self.k):
             raise ValueError("attachment: attaching map source does not match "
                              f"the declared generator ({self.kind}, n={self.n})")
         errors = map_errors(self.attaching)

@@ -42,7 +42,7 @@ from ssetkit.core import (
     SimplicialMap,
     validate,
 )
-from ssetkit.cells import Attachment, CellPresentation
+from ssetkit.cells import Attachment, CellPresentation, _is_generator_source
 from ssetkit.lifting import generator
 
 NAME_RE = r"[A-Za-z0-9_.]+"
@@ -336,7 +336,11 @@ def parse_cellpres(text):
         if kind == "I" and k is not None:
             raise FormatError(no, "boundary attachment takes no k=")
         attaching = doc.map(map_name, no)
-        if attaching.source != generator(kind, n, k).source:
+        try:
+            at_source = _is_generator_source(attaching.source, kind, n, k)
+        except ValueError as exc:
+            raise FormatError(no, str(exc)) from exc
+        if not at_source:
             raise FormatError(no, f"map {map_name!r} does not start at the "
                               f"declared generator source")
         # realize checks that the target is the stage attached to, and

@@ -93,6 +93,13 @@ class TestRealize:
         with pytest.raises(ValueError, match="'zz', which is not a simplex"):
             b.close_stage()
 
+    def test_large_generator_against_a_point(self):
+        # told apart by the source's dimension, before the boundary of the
+        # 40-simplex is built
+        with pytest.raises(ValueError, match="does not match the declared "
+                                             r"generator \(I, n=40\)"):
+            Attachment("I", 40, None, identity(simplex(0)))
+
     def test_realize_matches_builder(self):
         b = build_circle()
         pres = b.presentation()

@@ -207,6 +207,11 @@ map f : BAD -> P
         self.assert_input_error(capsys, ["validate", str(bad)], str(bad),
                                 "not UTF-8 text")
 
+    def test_impossible_horn(self, capsys):
+        path = str(DATA / "bad_horn.cellpres")
+        self.assert_input_error(capsys, ["realize", path], path,
+                                "line 3: horn: need n >= 1 and 0 <= k <= n")
+
     def test_edge_sent_to_a_vertex(self, tmp_path, capsys):
         doc = tmp_path / "drop.sset"
         doc.write_text("sset/1\n\nobject A\n  dim 0: a b\n  dim 1: e\n"

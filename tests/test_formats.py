@@ -239,13 +239,31 @@ class TestCellpresFormat:
         ("stage=1 gen=J n=2 k=0 attach=attach1_0",
          "line 3: map 'attach1_0' does not start at the declared generator "
          "source"),
-    ], ids=["horn_without_k", "boundary_with_k", "wrong_source"])
+        ("stage=1 gen=J n=2 k=5 attach=attach1_0",
+         "line 3: horn: need n >= 1 and 0 <= k <= n"),
+        ("stage=1 gen=J n=0 k=0 attach=attach1_0",
+         "line 3: map 'attach1_0' does not start at the declared generator "
+         "source"),
+    ], ids=["horn_without_k", "boundary_with_k", "wrong_source",
+            "horn_index_past_n", "horn_of_dimension_0"])
     def test_bad_stage_line(self, stage_line, message):
         text = (DATA / "horn_fill.cellpres").read_text()
         assert self.HORN_STAGE in text
         with pytest.raises(FormatError) as exc:
             parse_cellpres(text.replace(self.HORN_STAGE, stage_line))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [14, 40])
+    def test_large_generator_against_a_point(self, n):
+        # told apart by the source's dimension; the boundary of the
+        # 40-simplex would have 2^41 - 2 simplices
+        text = (f"cellpres/1\nbase b\nstage=1 gen=I n={n} attach=m\n"
+                "sset/1\n\nobject b\n  dim 0: v\n\nmap m : b -> b\n"
+                "  v -> v\n")
+        with pytest.raises(FormatError) as exc:
+            parse_cellpres(text)
+        assert str(exc.value) == ("line 3: map 'm' does not start at the "
+                                  "declared generator source")
 
     def test_missing_sset_section(self):
         with pytest.raises(FormatError) as exc:

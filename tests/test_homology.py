@@ -449,6 +449,8 @@ def test_instances_agree_with_dense():
         pool += [s for s in parse_document(path.read_text()).objects.values()
                  if validate(s).ok]
     for path in sorted(DATA.glob("*.cellpres")):
+        if path.name == "bad_horn.cellpres":
+            continue   # the reader refuses it
         pool.append(realize(parse_cellpres(path.read_text())[0]).final)
     rng = random.Random(11)
     for base in (simplex(0), boundary(1), circle(), horn(2, 1)):
