@@ -11,7 +11,10 @@ maps.  Every generator is a monomorphism, so no general pushout is needed:
 the stage's nondegenerate simplices are those of the previous stage plus
 those of each standard cell outside its generator's source, and their
 faces are read off directly (Goerss-Jardine, Simplicial Homotopy Theory,
-I.1).  `StageData.induced` is the universal property of that pushout.
+I.1).  `StageData.induced` is the universal property of that pushout; like
+the inverse that `j_to_i_presentation` checks, it comes from the one
+routine in `colimits` that builds every map out of a colimit and
+re-verifies its cocone.
 
 Naming contract of `realize`: simplices of the base keep their names at
 every stage, and the cells attached at stage ordinal s (1-based) by the

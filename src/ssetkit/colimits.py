@@ -11,6 +11,13 @@ the base of that class's least degenerate member and composing the
 degeneracies met on the way, which by Eilenberg-Zilber uniqueness does not
 depend on the member.  Which simplices of B and C lie over a corner
 simplex is read off the two legs.
+
+One routine, `_induced`, gives every map out of a colimit: out of a
+coproduct, a pushout corner or a cell stage (`cells.StageData.induced`).
+A colimit's legs are jointly surjective on nondegenerate simplices, so the
+map is read off the first leg that reaches each simplex, and the routine
+then checks that it restricts to the given map along every leg; a cocone
+that does not commute is refused, never answered with a wrong map.
 """
 
 from ssetkit.core import (
