@@ -166,30 +166,6 @@ class TestStageInduced:
                     else:
                         assert want == [stage.induced(cell_maps, from_c)]
 
-    @pytest.mark.parametrize("h", [
-        SimplicialMap(boundary(1), simplex(1),
-                      {"0": SimplexRef("0"), "1": SimplexRef("1")}),
-        SimplicialMap(boundary(1), simplex(0),
-                      {"0": SimplexRef("0"), "1": SimplexRef("0")}),
-        SimplicialMap(simplex(1), simplex(0),
-                      {"0": SimplexRef("0"), "1": SimplexRef("0"),
-                       "01": SimplexRef("0", (0,))}),
-    ], ids=["not_onto", "not_injective", "degenerate_image"])
-    def test_non_isomorphisms_are_refused(self, h):
-        with pytest.raises(RuntimeError,
-                           match="conversion map is not an isomorphism"):
-            _check_iso(h)
-
-    def test_inverse_of_an_isomorphism(self):
-        res = build_circle().realized()
-        renamed = FiniteSimplicialSet({0: ["v"], 1: ["e"]},
-                                      {"e": [SimplexRef("v")] * 2})
-        h = SimplicialMap(res.final, renamed, dict(zip(
-            res.final.names(), map(SimplexRef, renamed.names()))))
-        inv = _check_iso(h)
-        assert compose(inv, h) == identity(res.final)
-        assert compose(h, inv) == identity(renamed)
-
 
 class TestFactorThroughStage:
     def test_vertex_factors_at_one(self):
@@ -318,3 +294,27 @@ class TestJToI:
             assert is_map(iso)
             assert compose(iso, realize(pres).composite()) == \
                 realize(converted).composite()
+
+    @pytest.mark.parametrize("h", [
+        SimplicialMap(boundary(1), simplex(1),
+                      {"0": SimplexRef("0"), "1": SimplexRef("1")}),
+        SimplicialMap(boundary(1), simplex(0),
+                      {"0": SimplexRef("0"), "1": SimplexRef("0")}),
+        SimplicialMap(simplex(1), simplex(0),
+                      {"0": SimplexRef("0"), "1": SimplexRef("0"),
+                       "01": SimplexRef("0", (0,))}),
+    ], ids=["not_onto", "not_injective", "degenerate_image"])
+    def test_non_isomorphisms_are_refused(self, h):
+        with pytest.raises(RuntimeError,
+                           match="conversion map is not an isomorphism"):
+            _check_iso(h)
+
+    def test_inverse_of_an_isomorphism(self):
+        res = build_circle().realized()
+        renamed = FiniteSimplicialSet({0: ["v"], 1: ["e"]},
+                                      {"e": [SimplexRef("v")] * 2})
+        h = SimplicialMap(res.final, renamed, dict(zip(
+            res.final.names(), map(SimplexRef, renamed.names()))))
+        inv = _check_iso(h)
+        assert compose(inv, h) == identity(res.final)
+        assert compose(h, inv) == identity(renamed)
