@@ -108,6 +108,8 @@ def coproduct_induced(cop, injections, maps):
         raise ValueError("coproduct_induced: empty family needs explicit target")
     if any(m.target != maps[0].target for m in maps):
         raise ValueError("coproduct_induced: targets disagree")
+    if len(maps) != len(injections):
+        raise ValueError("coproduct_induced: one map per summand")
     return _induced(cop, injections, maps, "coproduct_induced")
 
 

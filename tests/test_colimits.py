@@ -75,6 +75,13 @@ class TestCoproduct:
                                              "does not commute"):
             coproduct_induced(out, injs, [m0, identity(simplex(1))])
 
+    @pytest.mark.parametrize("count", [1, 3], ids=["too_few", "too_many"])
+    def test_one_map_per_summand(self, count):
+        out, injs = coproduct([simplex(0), simplex(0)])
+        with pytest.raises(ValueError, match="coproduct_induced: one map per "
+                                             "summand"):
+            coproduct_induced(out, injs, [identity(simplex(0))] * count)
+
     def test_universal_property_exhaustive_small(self):
         # every pair of maps out of two pool objects is restricted from
         # exactly one map out of their coproduct
