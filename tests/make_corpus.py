@@ -28,6 +28,12 @@ The cases come from the tests' own generators, never from `bench/`:
   data/horn_fill.cellpres, the J runs of the acceptance corpus (named by
   their `acceptance` number) and the first presentations of acceptance
   criterion 6 (`criterion6.NN`).
+- `realize.NAME`: a realization's births (`birth NAME=k` in the final
+  object's order), then, for each stage s and each characteristic map
+  char of s, `factor_through_stage` of char pushed to the final object:
+  its k and images.  The realizations are those of the parsable
+  data/*.cellpres files (`cellpres.NAME`), of the acceptance corpus and of
+  the first presentations of acceptance criterion 6.
 
 Rewrite the file after a change that is meant to move outputs, and say
 which cases moved and why:
@@ -43,10 +49,11 @@ import test_seminaive
 from instances import NONEMPTY_POOL, SMALL_POOL, random_j_presentation
 from test_acceptance import _factorization_corpus
 from test_search import right_maps
-from ssetkit.cells import j_to_i_presentation
+from ssetkit.cells import factor_through_stage, j_to_i_presentation
 from ssetkit.core import (
     boundary,
     boundary_inclusion,
+    compose,
     enumerate_maps,
     horn,
     horn_inclusion,
@@ -189,6 +196,16 @@ def wecert_cases():
         yield f"wecert.{name}", "\n".join(lines)
 
 
+def criterion6_builders():
+    """(name, builder) for the first presentations of acceptance criterion
+    6."""
+    rng = random.Random(601)
+    for n in range(20):
+        base = rng.choice(NONEMPTY_POOL)
+        yield f"criterion6.{n:02d}", random_j_presentation(
+            rng, base, max_stages=2, max_cells=3, max_dim=2)
+
+
 def j_presentations():
     """(name, horn presentation) for the conversion cases."""
     pres, _ = parse_cellpres(
@@ -197,18 +214,41 @@ def j_presentations():
     for n, r in enumerate(_factorization_corpus()):
         if r.kind == "J":
             yield f"acceptance.{n:02d}", r.presentation
-    rng = random.Random(601)
-    for n in range(20):
-        base = rng.choice(NONEMPTY_POOL)
-        builder = random_j_presentation(rng, base, max_stages=2,
-                                        max_cells=3, max_dim=2)
-        yield f"criterion6.{n:02d}", builder.presentation()
+    for name, builder in criterion6_builders():
+        yield name, builder.presentation()
 
 
 def j2i_cases():
     for name, pres in j_presentations():
         converted, iso = j_to_i_presentation(pres)
         yield f"j2i.{name}", print_cellpres(converted) + map_text(iso)
+
+
+def realizations():
+    """(name, realization) for the `realize` cases."""
+    for path in sorted(DATA.glob("*.cellpres")):
+        try:
+            pres, _ = parse_cellpres(path.read_text(encoding="utf-8"))
+        except ValueError:
+            continue    # a refused file; its case would then be missing
+        yield f"cellpres.{path.stem}", pres.realization
+    for n, r in enumerate(_factorization_corpus()):
+        yield f"acceptance.{n:02d}", r.realization
+    for name, builder in criterion6_builders():
+        yield name, builder.realized()
+
+
+def realize_cases():
+    for name, res in realizations():
+        record = res.record
+        lines = [f"birth {n}={record.birth[n]}"
+                 for n in record.final.names()]
+        for s, stage in enumerate(res.stage_data, start=1):
+            for t, char in enumerate(stage.char_maps):
+                k, factored = factor_through_stage(
+                    res, compose(record.composite_from(s), char))
+                lines.append(f"{s} {t} {k} {map_text(factored)}")
+        yield f"realize.{name}", "\n".join(lines)
 
 
 FAMILIES = {
@@ -221,6 +261,7 @@ FAMILIES = {
     "homology": homology_cases,
     "wecert": wecert_cases,
     "j2i": j2i_cases,
+    "realize": realize_cases,
 }
 
 
