@@ -23,7 +23,8 @@ corresponding simplex of the standard cell being glued in.  Base objects
 must not already use such names.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from ssetkit.core import (
@@ -39,7 +40,7 @@ from ssetkit.core import (
     map_errors,
     simplex,
 )
-from ssetkit.colimits import _induced, sequential_colimit
+from ssetkit.colimits import StageRecord, _induced, sequential_colimit
 from ssetkit.lifting import generator
 
 
@@ -82,22 +83,17 @@ class CellPresentation:
     attachments whose attaching maps land in the realization of all strictly
     earlier stages.
 
-    A presentation carries its realization: `PresentationBuilder.realized`
-    fills it in, and any other presentation is glued once, on first use.
-    Only the stage record and stage data are kept, so the presentation and
-    the `RealizeResult` built from them do not refer to each other."""
+    A presentation carries its realization, the stage record plus stage
+    data (`RealizeResult`): `PresentationBuilder.presentation` fills it in,
+    and any other presentation is glued once, on first use.  The
+    realization holds no reference back to the presentation."""
 
     base: object
     stages: tuple
-    _realized: tuple = field(default=None, init=False, repr=False,
-                             compare=False)
 
-    @property
+    @cached_property
     def realization(self):
-        if self._realized is None:
-            object.__setattr__(self, "_realized",
-                               realize(self).presentation._realized)
-        return RealizeResult(self, *self._realized)
+        return realize(self)
 
     def attachment_count(self):
         return sum(len(stage) for stage in self.stages)
@@ -129,22 +125,15 @@ class StageData:
                         [from_c, *cell_maps], "induced")
 
 
-class RealizeResult:
-    """Realization of a presentation: the stage record (whose birth function
-    assigns every cell its presentation ordinal), the base-to-final
-    composite, and per-stage data."""
+class RealizeResult(StageRecord):
+    """Realization of a presentation: its stage record (whose birth function
+    assigns every cell its presentation ordinal, and whose composite is the
+    base-to-final inclusion) plus per-stage data.  It holds no reference
+    back to the presentation."""
 
-    def __init__(self, presentation, record, stage_data):
-        self.presentation = presentation
-        self.record = record
+    def __init__(self, record, stage_data):
+        super().__init__(record.objects, record.inclusions, record.birth)
         self.stage_data = list(stage_data)
-
-    @property
-    def final(self):
-        return self.record.final
-
-    def composite(self):
-        return self.record.composite()
 
 
 def _attach(current, attachments, ordinal):
@@ -251,18 +240,18 @@ class PresentationBuilder:
         return stage
 
     def presentation(self):
-        if self._pending:
-            raise ValueError("presentation: close the open stage first")
-        return CellPresentation(self.base, tuple(self._stages))
+        """The presentation built so far, carrying its realization."""
+        pres = CellPresentation(self.base, tuple(self._stages))
+        object.__setattr__(pres, "realization", self.realized())
+        return pres
 
     def realized(self):
-        """The presentation built so far, carrying its realization."""
-        pres = self.presentation()
-        record = sequential_colimit([d.inclusion for d in self.stage_data],
-                                    base=self.base)
-        object.__setattr__(pres, "_realized",
-                           (record, tuple(self.stage_data)))
-        return pres.realization
+        """The realization of the stages closed so far."""
+        if self._pending:
+            raise ValueError("presentation: close the open stage first")
+        return RealizeResult(sequential_colimit(
+            [d.inclusion for d in self.stage_data], base=self.base),
+            self.stage_data)
 
 
 def factor_through_stage(realized, m):
@@ -272,13 +261,12 @@ def factor_through_stage(realized, m):
     Returns (k, factored) where k is minimal such that every simplex in the
     image of m is born by stage k, and factored composes with the stage
     inclusions to recover m exactly."""
-    record = realized.record if isinstance(realized, RealizeResult) else realized
-    if m.target != record.final:
+    if m.target != realized.final:
         raise ValueError("factor_through_stage: map does not land in the "
                          "final stage")
-    birth = record.birth
+    birth = realized.birth
     k = max((birth[ref.base] for ref in m.img), default=0)
-    comp = record.composite_from(k)
+    comp = realized.composite_from(k)
     inverse = {ref.base: n for n, ref in zip(comp.source.names(), comp.img)}
     factored = _positional(m.source, comp.source, tuple(
         SimplexRef(inverse[ref.base], ref.word) for ref in m.img))
@@ -350,7 +338,7 @@ def j_to_i_presentation(presentation):
             stage_b.char_maps,
             compose(stage_b.inclusion, compose(inc_a, h)))
 
-    converted = builder.realized().presentation
+    converted = builder.presentation()
     _check_iso(h)
     return converted, h
 

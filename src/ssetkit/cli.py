@@ -214,7 +214,7 @@ def _cmd_realize(args):
            f"cells={pres.attachment_count()} "
            f"final_size={res.final.size()}"]
     for name in res.final.names():
-        out.append(f"birth {name}={res.record.birth[name]}")
+        out.append(f"birth {name}={res.birth[name]}")
     report = Document()
     report.objects["final"] = res.final
     out.append("")

@@ -67,12 +67,12 @@ class FactorStage:
 
 class FactorizationResult:
     """Outcome of `factorize`: f = right . left with left the realization
-    of the recorded cell presentation and right the final projection.
-    `residual` lists the squares still unlifted when the run stopped; it is
-    empty on every converged run."""
+    of the recorded cell presentation, which carries that realization, and
+    right the final projection.  `residual` lists the squares still
+    unlifted when the run stopped; it is empty on every converged run."""
 
     def __init__(self, f, kind, cap, mode, budget, left, right,
-                 realization, stages, residual, converged):
+                 presentation, stages, residual, converged):
         self.f = f
         self.kind = kind
         self.cap = cap
@@ -80,14 +80,14 @@ class FactorizationResult:
         self.budget = budget
         self.left = left
         self.right = right
-        self.realization = realization
+        self.presentation = presentation
         self.stages = stages
         self.residual = residual
         self.converged = converged
 
     @property
-    def presentation(self):
-        return self.realization.presentation
+    def realization(self):
+        return self.presentation.realization
 
     @property
     def stages_run(self):
@@ -151,11 +151,11 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
         stages.append(FactorStage(p_k, squares, pending, witnesses))
         p_k = stage.induced([squares[idx][1].bottom for idx in pending], p_k)
 
-    realization = builder.realized()
+    presentation = builder.presentation()
     return FactorizationResult(
         f=f, kind=kind, cap=cap, mode=mode, budget=budget,
-        left=realization.composite(), right=p_k,
-        realization=realization, stages=stages,
+        left=presentation.realization.composite(), right=p_k,
+        presentation=presentation, stages=stages,
         residual=residual, converged=converged)
 
 

@@ -278,7 +278,7 @@ def print_cellpres(pres):
             out.append(f"stage={s} gen={att.kind} n={att.n}{k_part} "
                        f"attach={map_name}")
     for s in range(1, len(pres.stages) + 1):
-        doc.objects[stage_names[s]] = res.record.objects[s]
+        doc.objects[stage_names[s]] = res.objects[s]
     for s, att, map_name, gen_obj in attach_entries:
         doc.add_map(map_name, att.attaching, gen_obj, stage_names[s - 1])
     return "\n".join(out) + "\n" + print_document(doc)
@@ -370,7 +370,7 @@ def parse_cellpres(text):
         raise FormatError(1, str(exc)) from exc
     for s in range(1, len(stages) + 1):
         declared = doc.objects.get(f"stage{s}")
-        if declared is not None and declared != res.record.objects[s]:
+        if declared is not None and declared != res.objects[s]:
             raise FormatError(1, f"declared stage{s} does not match the "
                               "recomputed realization")
     return pres, doc

@@ -240,13 +240,11 @@ def realizations():
 
 def realize_cases():
     for name, res in realizations():
-        record = res.record
-        lines = [f"birth {n}={record.birth[n]}"
-                 for n in record.final.names()]
+        lines = [f"birth {n}={res.birth[n]}" for n in res.final.names()]
         for s, stage in enumerate(res.stage_data, start=1):
             for t, char in enumerate(stage.char_maps):
                 k, factored = factor_through_stage(
-                    res, compose(record.composite_from(s), char))
+                    res, compose(res.composite_from(s), char))
                 lines.append(f"{s} {t} {k} {map_text(factored)}")
         yield f"realize.{name}", "\n".join(lines)
 

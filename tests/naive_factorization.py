@@ -71,12 +71,12 @@ class FactorStage:
 
 class FactorizationResult:
     """Outcome of `factorize`: f = right . left with left the realization
-    of the recorded cell presentation and right the final projection.
-    `residual` lists the squares still unlifted when the run stopped; it is
-    empty on every converged run."""
+    of the recorded cell presentation, which carries that realization, and
+    right the final projection.  `residual` lists the squares still
+    unlifted when the run stopped; it is empty on every converged run."""
 
     def __init__(self, f, kind, cap, mode, budget, left, right,
-                 realization, stages, residual, converged):
+                 presentation, stages, residual, converged):
         self.f = f
         self.kind = kind
         self.cap = cap
@@ -84,14 +84,14 @@ class FactorizationResult:
         self.budget = budget
         self.left = left
         self.right = right
-        self.realization = realization
+        self.presentation = presentation
         self.stages = stages
         self.residual = residual
         self.converged = converged
 
     @property
-    def presentation(self):
-        return self.realization.presentation
+    def realization(self):
+        return self.presentation.realization
 
     @property
     def stages_run(self):
@@ -159,11 +159,11 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
         p_k = stage.induced([squares[idx][1].bottom for idx in pending], p_k)
         rounds += 1
 
-    realization = builder.realized()
+    presentation = builder.presentation()
     return FactorizationResult(
         f=f, kind=kind, cap=cap, mode=mode, budget=budget,
-        left=realization.composite(), right=p_k,
-        realization=realization, stages=stages,
+        left=presentation.realization.composite(), right=p_k,
+        presentation=presentation, stages=stages,
         residual=residual, converged=converged)
 
 
@@ -205,7 +205,7 @@ def early_top_failures(result):
     the finiteness step that lets capped runs certify anything at all."""
     from ssetkit.cells import factor_through_stage
 
-    record = result.realization.record
+    record = result.realization
     failures = []
     for idx, (_, sq) in enumerate(result.stages[-1].squares):
         born, _ = factor_through_stage(record, sq.top)

@@ -118,4 +118,4 @@ def realize(presentation):
         current = stage.inclusion.target
     record = sequential_colimit([d.inclusion for d in data],
                                 base=presentation.base)
-    return RealizeResult(presentation, record, data)
+    return RealizeResult(record, data)

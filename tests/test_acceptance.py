@@ -168,7 +168,7 @@ class TestCriterion1LiftingClosure:
                 break
             base = rng.choice(NONEMPTY_POOL[:6])
             builder = random_presentation(rng, base, 3, 4, max_dim=2)
-            record = builder.realized().record
+            record = builder.realized()
             comp = record.composite()
             x = rng.choice(TINY_POOL)
             u = pick_map(rng, record.final, x)
@@ -248,11 +248,11 @@ class TestCriterion3Smallness:
             if m is None:
                 continue
             k, factored = factor_through_stage(res, m)
-            assert compose(res.record.composite_from(k), factored) == m
+            assert compose(res.composite_from(k), factored) == m
             if k > 0:
-                prev = res.record.composite_from(k - 1)
+                prev = res.composite_from(k - 1)
                 reachable = {prev.images[n].base
-                             for n in res.record.objects[k - 1].names()}
+                             for n in res.objects[k - 1].names()}
                 assert any(m.images[n].base not in reachable
                            for n in m.source.names()), \
                     "k-1 stages would have sufficed"

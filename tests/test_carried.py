@@ -1,5 +1,5 @@
 """A presentation carries its realization: stage gluings counted with a spy
-on `cells._attach`, and the stage record freed with the result that holds
+on `cells._attach`, and the realization freed with the result that holds
 it, without the cycle collector."""
 
 import gc
@@ -10,7 +10,12 @@ import pytest
 
 from instances import circle
 from ssetkit import cells
-from ssetkit.cells import PresentationBuilder, j_to_i_presentation, realize
+from ssetkit.cells import (
+    CellPresentation,
+    PresentationBuilder,
+    j_to_i_presentation,
+    realize,
+)
 from ssetkit.cli import main
 from ssetkit.core import (
     SimplexRef,
@@ -92,21 +97,31 @@ class TestGluings:
         assert glued == [1, 2]
         # the file declares a probe after the canonical part
         assert print_cellpres(pres) == text.split("\nobject K")[0]
-        assert pres.realization.record is pres.realization.record
+        assert pres.realization is pres.realization
         assert glued == [1, 2]
 
     def test_hand_made_presentation_glues_once(self, glued):
+        # the builder's presentation carries what the builder glued
         pres = horn_presentation().presentation()
         assert glued == [1]
         text = print_cellpres(pres)
         assert print_cellpres(pres) == text
-        assert glued == [1, 1]
+        assert pres.realization is pres.realization
+        assert glued == [1]
         # realize still glues from scratch
         assert realize(pres).final == pres.realization.final
-        assert glued == [1, 1, 1]
+        assert glued == [1, 1]
+
+    def test_presentation_without_a_realization_glues_once(self, glued):
+        built = horn_presentation().presentation()
+        pres = CellPresentation(built.base, built.stages)
+        glued.clear()
+        assert print_cellpres(pres) == print_cellpres(built)
+        assert print_cellpres(pres) == print_cellpres(built)
+        assert glued == [1]
 
     def test_j_to_i_reads_the_carried_realization(self, glued):
-        pres = horn_presentation().realized().presentation
+        pres = horn_presentation().presentation()
         glued.clear()
         converted, iso = j_to_i_presentation(pres)
         assert glued == [1, 2]
@@ -119,16 +134,15 @@ class TestGluings:
             "0": SimplexRef("0"), "1": SimplexRef("1")}))
         b.close_stage()
         carried = b.realized()
-        fresh = realize(carried.presentation)
-        assert carried.presentation == fresh.presentation
-        assert carried.record.objects == fresh.record.objects
-        assert list(carried.record.birth.items()) == \
-            list(fresh.record.birth.items())
+        fresh = realize(b.presentation())
+        assert carried.objects == fresh.objects
+        assert list(carried.birth.items()) == list(fresh.birth.items())
 
 
 class TestNoCycle:
-    """The presentation keeps the stage record and stage data, not the
-    result built from them, so plain reference counting frees them."""
+    """The presentation keeps its realization, the stage record plus stage
+    data, and the realization holds no reference back to the presentation,
+    so plain reference counting frees it."""
 
     @staticmethod
     def dies_without_collector(make):
@@ -145,12 +159,12 @@ class TestNoCycle:
         def make():
             r = circle_run()
             print_soa(r)
-            return r, r.realization.record
+            return r, r.realization
         assert self.dies_without_collector(make)
 
     def test_dropping_a_presentation_frees_its_record(self):
         def make():
             pres = horn_presentation().presentation()
             print_cellpres(pres)
-            return pres, pres.realization.record
+            return pres, pres.realization
         assert self.dies_without_collector(make)

@@ -58,7 +58,7 @@ class TestRealize:
         assert validate(final).ok
         vertex = final.simplices(0)[0]
         edge = final.simplices(1)[0]
-        assert res.record.birth == {vertex: 1, edge: 2}
+        assert res.birth == {vertex: 1, edge: 2}
 
     def test_horn_filling_returns_simplex(self):
         base = horn(2, 1)
@@ -174,7 +174,7 @@ class TestFactorThroughStage:
         m = SimplicialMap(simplex(0), res.final, {"0": SimplexRef(vertex)})
         k, factored = factor_through_stage(res, m)
         assert k == 1
-        assert compose(res.record.composite_from(k), factored) == m
+        assert compose(res.composite_from(k), factored) == m
 
     def test_loop_factors_at_two(self):
         res = build_circle().realized()
@@ -206,8 +206,8 @@ class TestFactorThroughStage:
                            "01": SimplexRef(edge)})
         k, _ = factor_through_stage(res, m)
         # at stage k-1 some simplex in the image is missing
-        prior = res.record.objects[k - 1]
-        comp = res.record.composite_from(k - 1)
+        prior = res.objects[k - 1]
+        comp = res.composite_from(k - 1)
         image = {comp.images[n].base for n in prior.names()}
         assert any(m.images[n].base not in image for n in m.source.names())
 
@@ -217,7 +217,7 @@ class TestFactorThroughStage:
         for n in final.names():
             if final.dim_of(n) >= 1:
                 for r in final.faces_of(n):
-                    assert res.record.birth[r.base] <= res.record.birth[n]
+                    assert res.birth[r.base] <= res.birth[n]
 
 
 class TestJToI:

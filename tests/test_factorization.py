@@ -141,7 +141,7 @@ class TestVerifyFactorization:
         tampered = type(r)(
             f=SimplicialMap(empty_sset(), simplex(1), {}),
             kind=r.kind, cap=r.cap, mode=r.mode, budget=r.budget,
-            left=r.left, right=r.right, realization=r.realization,
+            left=r.left, right=r.right, presentation=r.presentation,
             stages=r.stages, residual=r.residual, converged=r.converged)
         rep = verify_factorization(tampered)
         assert not rep.ok

@@ -20,7 +20,7 @@ from instances import (
     pick_map,
     random_presentation,
 )
-from ssetkit.cells import factor_through_stage
+from ssetkit.cells import CellPresentation, factor_through_stage
 from ssetkit.cli import main
 from ssetkit.colimits import pushout
 from ssetkit.core import (
@@ -122,13 +122,15 @@ class TestPresentations:
     def test_presentation_and_stages(self, seed, carried):
         rng = random.Random(seed)
         builder = random_presentation(rng, rng.choice(TINY_POOL), 3, 4)
-        pres = (builder.realized().presentation if carried
-                else builder.presentation())
+        pres = builder.presentation()
+        if not carried:
+            # the same presentation, glued on first use
+            pres = CellPresentation(pres.base, pres.stages)
         text = print_cellpres(pres)
         back, doc = parse_cellpres(text)
         assert back == pres
-        stages = pres.realization.record.objects
-        assert back.realization.record.objects == stages
+        stages = pres.realization.objects
+        assert back.realization.objects == stages
         assert [doc.objects[f"stage{s}"] for s in range(1, len(stages))] \
             == stages[1:]
         assert print_cellpres(back) == text
@@ -200,7 +202,7 @@ class TestReports:
     def test_realize_and_factor_stage(self, seed, probe_name):
         rng = random.Random(seed)
         pres = random_presentation(rng, rng.choice(TINY_POOL), 2,
-                                   3).realized().presentation
+                                   3).presentation()
         final = pres.realization.final
         m = pick_map(rng, rng.choice(NONEMPTY_POOL[:4]), final)
         assume(m is not None)

@@ -296,7 +296,7 @@ class TestSquareStream:
 
 def mutated(r, **fields):
     args = dict(f=r.f, kind=r.kind, cap=r.cap, mode=r.mode, budget=r.budget,
-                left=r.left, right=r.right, realization=r.realization,
+                left=r.left, right=r.right, presentation=r.presentation,
                 stages=r.stages, residual=r.residual, converged=r.converged)
     args.update(fields)
     return FactorizationResult(**args)
@@ -365,14 +365,14 @@ def dropped_cell():
     closed = builder.close_stage()
     right = closed.induced([stage.squares[idx][1].bottom
                             for idx in kept], stage.p)
-    realization = builder.realized()
+    presentation = builder.presentation()
     squares = [(label, sq) for label, gen in generator_family("I", 3)
                for sq in enumerate_squares(gen, right)]
     at = [key(*square) for square in squares].index(
         key(*stage.squares[dropped]))
     final = FactorStage(right, squares, [])
-    bad = mutated(r, left=realization.composite(), right=right,
-                  realization=realization,
+    bad = mutated(r, left=presentation.realization.composite(), right=right,
+                  presentation=presentation,
                   stages=r.stages[:-1] + [final], residual=[],
                   converged=True)
     return bad, (k, dropped, at)

@@ -74,8 +74,8 @@ def presentations(draw, kinds=("I", "J"), bases=BASES):
 def assert_same_realization(pres):
     new = realize(pres)
     old = oracle.realize(pres)
-    assert new.record.objects == old.record.objects
-    assert new.record.birth == old.record.birth
+    assert new.objects == old.objects
+    assert new.birth == old.birth
     assert len(new.stage_data) == len(old.stage_data)
     for stage, old_stage in zip(new.stage_data, old.stage_data):
         assert stage.inclusion == old_stage.inclusion
