@@ -574,3 +574,37 @@ class TestMaxdimLimit:
         assert got == code
         if argv[0] == "homology":
             assert out.splitlines()[-1] == f"H{MAXDIM_LIMIT} = 0"
+
+
+class TestDeepObject:
+    """The 40-sphere of data/sphere40.sset through every subcommand that
+    reads an sset/1 file, under a recursion limit of 100: no code path may
+    be bounded by Python's recursion limit."""
+
+    SPHERE = str(DATA / "sphere40.sset")
+    CALLS = [
+        ["validate"],
+        ["hom", "--source", "S", "--target", "S"],
+        ["pushout", "--i", "c", "--g", "c"],
+        ["lift", "--left", "idS", "--right", "c", "--top", "idS",
+         "--bottom", "c"],
+        ["rlp", "--map", "c", "--gen", "I"],
+        ["factorize", "--map", "c", "--gen", "I"],
+        ["functorial", "--map", "c", "--map2", "c", "--top", "idS",
+         "--bottom", "idP", "--gen", "I"],
+        ["homology", "--object", "S"],
+        ["we-cert", "--map", "c"],
+    ]
+
+    def test_every_command_under_a_low_recursion_limit(self, capsys):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            codes = [main([argv[0], self.SPHERE] + argv[1:])
+                     for argv in self.CALLS]
+        finally:
+            sys.setrecursionlimit(limit)
+        captured = capsys.readouterr()
+        assert codes == [0] * len(self.CALLS)
+        assert captured.err == ""
+        assert "hom S -> S: 2 maps" in captured.out
