@@ -242,16 +242,16 @@ class PresentationBuilder:
     def presentation(self):
         """The presentation built so far, carrying its realization."""
         pres = CellPresentation(self.base, tuple(self._stages))
-        object.__setattr__(pres, "realization", self.realized())
+        pres.__dict__["realization"] = self.realized()
         return pres
 
     def realized(self):
         """The realization of the stages closed so far."""
         if self._pending:
             raise ValueError("presentation: close the open stage first")
-        return RealizeResult(sequential_colimit(
-            [d.inclusion for d in self.stage_data], base=self.base),
-            self.stage_data)
+        record = sequential_colimit([d.inclusion for d in self.stage_data],
+                                    base=self.base)
+        return RealizeResult(record, self.stage_data)
 
 
 def factor_through_stage(realized, m):

@@ -227,10 +227,12 @@ def j2i_cases():
 def realizations():
     """(name, realization) for the `realize` cases."""
     for path in sorted(DATA.glob("*.cellpres")):
+        # bad_horn is refused and has no case; a file that stops parsing
+        # loses its case, and the corpus test names it
         try:
             pres, _ = parse_cellpres(path.read_text(encoding="utf-8"))
         except ValueError:
-            continue    # a refused file; its case would then be missing
+            continue
         yield f"cellpres.{path.stem}", pres.realization
     for n, r in enumerate(_factorization_corpus()):
         yield f"acceptance.{n:02d}", r.realization
