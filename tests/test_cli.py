@@ -60,6 +60,9 @@ class TestGolden:
           "--map", "insert", "--map2", "insert2", "--top", "idE",
           "--bottom", "pick_a", "--gen", "I", "--cap", "1",
           "--budget", "2"]),
+        ("hom_functorial.txt", 0,
+         ["hom", str(DATA / "functorial.sset"),
+          "--source", "P", "--target", "PP"]),
     ]
 
     @pytest.mark.parametrize("golden,expected_code,argv",
@@ -140,9 +143,24 @@ class TestExitCodes:
             in captured.err
 
     def test_unknown_map_is_input_error(self, capsys):
-        code, _ = run_cli(capsys, "rlp", str(DATA / "rlp_boundary.sset"),
-                          "--map", "ghost", "--gen", "I", "--cap", "1")
+        code = main(["rlp", str(DATA / "rlp_boundary.sset"),
+                     "--map", "ghost", "--gen", "I", "--cap", "1"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: unknown map 'ghost'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--object", "zz"],
+        ["hom", "--source", "zz", "--target", "circle"],
+        ["homology", "--object", "zz"]],
+        ids=["validate", "hom", "homology"])
+    def test_unknown_object_is_input_error(self, capsys, argv):
+        code = main([argv[0], str(DATA / "homology.sset")] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: unknown object 'zz'\n"
 
     def test_invalid_object_reported_by_validate(self, tmp_path, capsys):
         doc = tmp_path / "invalid.sset"
