@@ -46,31 +46,19 @@ def _read(path):
                          f"{exc.start})") from exc
 
 
-def _load_document(path):
+def _load(path, parse=parse_document):
+    """The file read by `parse`: a Document, or for `parse_cellpres` the
+    presentation, which carries its realization, and its document."""
     try:
-        return parse_document(_read(path))
+        return parse(_read(path))
     except FormatError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_cellpres(path):
-    """The presentation, which carries its realization, and its document."""
-    try:
-        return parse_cellpres(_read(path))
-    except FormatError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _get_object(doc, name):
-    if name not in doc.objects:
-        raise InputError(f"unknown object {name!r}")
-    return doc.objects[name]
-
-
-def _get_map(doc, name):
-    if name not in doc.maps:
-        raise InputError(f"unknown map {name!r}")
-    return doc.maps[name]
+def _get(table, kind, name):
+    if name not in table:
+        raise InputError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 def _require_valid(doc, names, checked):
@@ -88,7 +76,7 @@ def _require_maps(doc, *names):
     """The named maps, in order, each simplicial between valid objects."""
     checked, maps = set(), []
     for name in names:
-        f = _get_map(doc, name)
+        f = _get(doc.maps, "map", name)
         endpoints = doc.map_endpoints[name]
         _require_valid(doc, [obj_name for obj_name in doc.objects
                              if obj_name in endpoints], checked)
@@ -109,21 +97,30 @@ def _doc_name(doc, obj):
     return None
 
 
+def _report(head, objects, maps=()):
+    """The head lines, a blank line, then an sset/1 section of `objects`
+    (name to object, in order) and `maps`, each (name, map, source name,
+    target name)."""
+    doc = Document()
+    doc.objects.update(objects)
+    for entry in maps:
+        doc.add_map(*entry)
+    return "\n".join(head) + "\n\n" + print_document(doc)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def _cmd_validate(args):
-    doc = _load_document(args.file)
+    doc = _load(args.file)
     names = [args.object] if args.object else list(doc.objects)
-    if args.object and args.object not in doc.objects:
-        raise InputError(f"unknown object {args.object!r}")
     out = []
     bad = 0
     for name in names:
-        report = core.validate(doc.objects[name])
+        obj = _get(doc.objects, "object", name)
+        report = core.validate(obj)
         if report.ok:
-            out.append(f"object {name}: valid "
-                       f"({doc.objects[name].size()} simplices)")
+            out.append(f"object {name}: valid ({obj.size()} simplices)")
         else:
             bad += 1
             out.append(f"object {name}: INVALID")
@@ -132,46 +129,37 @@ def _cmd_validate(args):
 
 
 def _cmd_hom(args):
-    doc = _load_document(args.file)
-    a = _get_object(doc, args.source)
-    x = _get_object(doc, args.target)
+    doc = _load(args.file)
+    a = _get(doc.objects, "object", args.source)
+    x = _get(doc.objects, "object", args.target)
     _require_valid(doc, [args.source, args.target], set())
     maps = core.enumerate_maps(a, x)
-    out = [f"hom {args.source} -> {args.target}: {len(maps)} maps"]
-    if not args.count:
-        report = Document()
-        report.objects[args.source] = a
-        report.objects[args.target] = x
-        for idx, f in enumerate(maps):
-            report.add_map(f"hom{idx}", f, args.source, args.target)
-        out.append("")
-        out.append(print_document(report).rstrip("\n"))
-    return 0, "\n".join(out) + "\n"
+    head = f"hom {args.source} -> {args.target}: {len(maps)} maps"
+    if args.count:
+        return 0, head + "\n"
+    return 0, _report([head], {args.source: a, args.target: x},
+                      [(f"hom{idx}", f, args.source, args.target)
+                       for idx, f in enumerate(maps)])
 
 
 def _cmd_pushout(args):
-    doc = _load_document(args.file)
+    doc = _load(args.file)
     i, g = _require_maps(doc, args.i, args.g)
     if i.source != g.source:
         raise InputError("the two maps must share a source")
     p = pushout(i, g)
-    out = [f"pushout: corner has {p.corner.size()} simplices"]
+    head = [f"pushout: corner has {p.corner.size()} simplices"]
     for name in p.corner.names():
-        out.append(f"provenance {name}: {p.origin(name)}")
-    report = Document()
+        head.append(f"provenance {name}: {p.origin(name)}")
     b_name = _doc_name(doc, i.target)
     c_name = _doc_name(doc, g.target)
-    report.objects[b_name] = i.target
-    report.objects[c_name] = g.target
+    objects = {b_name: i.target, c_name: g.target}
     corner = "corner"
-    while corner in report.objects:     # an input object's name
+    while corner in objects:     # an input object's name
         corner += "_"
-    report.objects[corner] = p.corner
-    report.add_map("leg_b", p.leg_from_b, b_name, corner)
-    report.add_map("leg_c", p.leg_from_c, c_name, corner)
-    out.append("")
-    out.append(print_document(report).rstrip("\n"))
-    return 0, "\n".join(out) + "\n"
+    objects[corner] = p.corner
+    return 0, _report(head, objects, [("leg_b", p.leg_from_b, b_name, corner),
+                                      ("leg_c", p.leg_from_c, c_name, corner)])
 
 
 def _square_from_args(doc, args):
@@ -183,22 +171,20 @@ def _square_from_args(doc, args):
 
 
 def _cmd_lift(args):
-    doc = _load_document(args.file)
+    doc = _load(args.file)
     problem = _square_from_args(doc, args)
     found = solve_lift(problem)
     if isinstance(found, Lift):
-        report = Document()
         b_name = _doc_name(doc, problem.left.target)
         x_name = _doc_name(doc, problem.right.source)
-        report.objects[b_name] = problem.left.target
-        report.objects[x_name] = problem.right.source
-        report.add_map("diagonal", found.diagonal, b_name, x_name)
-        return 0, ("lift: found\n\n" + print_document(report))
+        return 0, _report(["lift: found"], {b_name: problem.left.target,
+                                            x_name: problem.right.source},
+                          [("diagonal", found.diagonal, b_name, x_name)])
     return 1, f"lift: none refuted={found.refuted}\n"
 
 
 def _cmd_rlp(args):
-    doc = _load_document(args.file)
+    doc = _load(args.file)
     [f] = _require_maps(doc, args.map)
     report = check_rlp(f, args.gen, args.cap)
     verdict = "pass" if report.passed else "fail"
@@ -208,38 +194,32 @@ def _cmd_rlp(args):
 
 
 def _cmd_realize(args):
-    pres, _ = _load_cellpres(args.file)
+    pres, _ = _load(args.file, parse_cellpres)
     res = pres.realization
-    out = [f"realize: stages={len(pres.stages)} "
-           f"cells={pres.attachment_count()} "
-           f"final_size={res.final.size()}"]
+    head = [f"realize: stages={len(pres.stages)} "
+            f"cells={pres.attachment_count()} "
+            f"final_size={res.final.size()}"]
     for name in res.final.names():
-        out.append(f"birth {name}={res.birth[name]}")
-    report = Document()
-    report.objects["final"] = res.final
-    out.append("")
-    out.append(print_document(report).rstrip("\n"))
-    return 0, "\n".join(out) + "\n"
+        head.append(f"birth {name}={res.birth[name]}")
+    return 0, _report(head, {"final": res.final})
 
 
 def _cmd_factor_stage(args):
-    pres, doc = _load_cellpres(args.file)
+    pres, doc = _load(args.file, parse_cellpres)
     res = pres.realization
     [m] = _require_maps(doc, args.map)
     if m.target != res.final:
         raise InputError(f"map {args.map!r} does not land in the final stage")
     k, factored = factor_through_stage(res, m)
-    report = Document()
     src_name = _doc_name(doc, m.source)
-    report.objects[src_name] = m.source
     stage_name = _doc_name(doc, factored.target) or f"stage{k}"
-    report.objects[stage_name] = factored.target
-    report.add_map("factored", factored, src_name, stage_name)
-    return 0, (f"factor-stage: k={k}\n\n" + print_document(report))
+    return 0, _report([f"factor-stage: k={k}"],
+                      {src_name: m.source, stage_name: factored.target},
+                      [("factored", factored, src_name, stage_name)])
 
 
 def _cmd_j2i(args):
-    pres, _ = _load_cellpres(args.file)
+    pres, _ = _load(args.file, parse_cellpres)
     try:
         converted, _iso = j_to_i_presentation(pres)
     except ValueError as exc:
@@ -250,7 +230,7 @@ def _cmd_j2i(args):
 
 
 def _cmd_factorize(args):
-    doc = _load_document(args.file)
+    doc = _load(args.file)
     [f] = _require_maps(doc, args.map)
     result = factorize(f, args.gen, cap=args.cap, mode=args.mode,
                        budget=args.budget)
@@ -258,7 +238,7 @@ def _cmd_factorize(args):
 
 
 def _cmd_functorial(args):
-    doc = _load_document(args.file)
+    doc = _load(args.file)
     f, f2, u, v = _require_maps(doc, args.map, args.map2, args.top,
                                 args.bottom)
     if (u.source, u.target, v.source, v.target) != \
@@ -273,22 +253,19 @@ def _cmd_functorial(args):
     r2 = factorize(f2, args.gen, cap=args.cap, mode="faithful",
                    budget=args.budget)
     maps = induced_factorization_map(u, v, r, r2)
-    out = [f"functorial: gen={args.gen} cap={args.cap} budget={args.budget} "
-           f"stages={len(maps) - 1}"]
-    report = Document()
+    head = [f"functorial: gen={args.gen} cap={args.cap} budget={args.budget} "
+            f"stages={len(maps) - 1}"]
+    objects = {}
     for k, h in enumerate(maps):
-        report.objects[f"a{k}"] = h.source
-        report.objects[f"b{k}"] = h.target
-    for k, h in enumerate(maps):
-        report.add_map(f"h{k}", h, f"a{k}", f"b{k}")
-    out.append("")
-    out.append(print_document(report).rstrip("\n"))
-    return 0, "\n".join(out) + "\n"
+        objects[f"a{k}"] = h.source
+        objects[f"b{k}"] = h.target
+    return 0, _report(head, objects, [(f"h{k}", h, f"a{k}", f"b{k}")
+                                      for k, h in enumerate(maps)])
 
 
 def _cmd_homology(args):
-    doc = _load_document(args.file)
-    s = _get_object(doc, args.object)
+    doc = _load(args.file)
+    s = _get(doc.objects, "object", args.object)
     _require_valid(doc, [args.object], set())
     groups = homology_groups(s, args.maxdim)
     out = [f"homology object={args.object} maxdim={args.maxdim}"]
@@ -297,7 +274,7 @@ def _cmd_homology(args):
 
 
 def _cmd_we_cert(args):
-    doc = _load_document(args.file)
+    doc = _load(args.file)
     [f] = _require_maps(doc, args.map)
     cert = weak_equivalence_certificate(f, args.maxdim)
     return (0 if cert.passed else 1), cert.line() + "\n"
