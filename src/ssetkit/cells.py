@@ -59,7 +59,9 @@ def _is_generator_source(source, kind, n, k):
 class Attachment:
     """One cell attachment: a generator (boundary inclusion for kind "I",
     horn inclusion for kind "J") plus the attaching map of its source into
-    the current stage, which must be a simplicial map (`map_errors`)."""
+    the current stage, which must be a simplicial map (`map_errors`).  A
+    kind other than "I" or "J", a k with "I" or no k with "J" is refused
+    (ValueError) before any generator is built."""
 
     kind: str
     n: int
@@ -67,6 +69,13 @@ class Attachment:
     attaching: SimplicialMap
 
     def __post_init__(self):
+        if self.kind not in ("I", "J"):
+            raise ValueError(f"attachment: unknown generator kind "
+                             f"{self.kind!r}")
+        if self.kind == "J" and self.k is None:
+            raise ValueError("attachment: horn attachment needs k")
+        if self.kind == "I" and self.k is not None:
+            raise ValueError("attachment: boundary attachment takes no k")
         if not _is_generator_source(self.attaching.source, self.kind, self.n,
                                     self.k):
             raise ValueError("attachment: attaching map source does not match "

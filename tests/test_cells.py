@@ -100,6 +100,20 @@ class TestRealize:
                                              r"generator \(I, n=40\)"):
             Attachment("I", 40, None, identity(simplex(0)))
 
+    @pytest.mark.parametrize("kind,n,k,match", [
+        ("J", 2, None, "horn attachment needs k"),
+        ("I", 1, 7, "boundary attachment takes no k"),
+        ("X", 1, None, "unknown generator kind 'X'")],
+        ids=["horn_without_k", "boundary_with_k", "unknown_kind"])
+    def test_parameters_that_do_not_fit_the_kind(self, kind, n, k, match):
+        # the generator source itself: only the parameters are wrong
+        source = horn(2, 1) if kind == "J" else boundary(1)
+        attaching = enumerate_maps(source, simplex(0))[0]
+        b = PresentationBuilder(simplex(0)).attach(kind, n, k,
+                                                   attaching=attaching)
+        with pytest.raises(ValueError, match=match):
+            b.close_stage()
+
     def test_realize_matches_builder(self):
         b = build_circle()
         pres = b.presentation()
