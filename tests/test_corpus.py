@@ -16,16 +16,16 @@ def _listing(label, cases):
 
 
 def mismatch(family):
-    """How the family's cases differ from their recorded digests; empty
-    when they match."""
+    """How the family's cases differ from their recorded digests (empty
+    when they match), and the exception that stopped the family, if any."""
     want = {case: digest for case, digest in make_corpus.recorded().items()
             if case.split(".")[0] == family}
-    got, report = {}, []
+    got, report, error = {}, [], None
     try:
         for case, digest in make_corpus.digests(family):
             got[case] = digest
     except Exception as exc:    # list the cases it cut off, too
-        unreached = want.keys() - got.keys()
+        error, unreached = exc, want.keys() - got.keys()
         report += [f"{type(exc).__name__}: {exc}",
                    _listing("recorded cases never computed", unreached)]
     else:
@@ -34,13 +34,14 @@ def mismatch(family):
              if got.get(case) != want.get(case)]
     if moved:
         report.append(_listing("cases moved", moved))
-    return "\n".join(report)
+    return "\n".join(report), error
 
 
 @pytest.mark.parametrize("family", list(make_corpus.FAMILIES))
 def test_family_matches_the_recorded_digests(family):
-    report = mismatch(family)
-    assert not report, report
+    report, error = mismatch(family)
+    if report:      # chained, so the failure shows the error's traceback
+        raise AssertionError(report) from error
 
 
 class TestMismatchReport:
@@ -64,14 +65,15 @@ class TestMismatchReport:
         return recorded
 
     def test_an_exception_names_its_type_and_the_cases(self, toy):
-        assert mismatch("toy") == (
-            "IndexError: list index out of range\n"
-            "2 recorded cases never computed: toy.c toy.d\n"
-            "1 cases moved: toy.b")
+        report, error = mismatch("toy")
+        assert report == ("IndexError: list index out of range\n"
+                          "2 recorded cases never computed: toy.c toy.d\n"
+                          "1 cases moved: toy.b")
+        assert isinstance(error, IndexError)
 
     def test_without_an_exception_missing_cases_moved(self, toy,
                                                       monkeypatch):
         monkeypatch.setitem(make_corpus.FAMILIES, "toy",
                             lambda: iter([("toy.a", "a"), ("toy.e", "e")]))
         assert mismatch("toy") == \
-            "4 cases moved: toy.b toy.c toy.d toy.e"
+            ("4 cases moved: toy.b toy.c toy.d toy.e", None)
