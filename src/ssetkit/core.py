@@ -5,8 +5,9 @@ each nondegenerate simplex of dimension d >= 1, an ordered list of d+1 face
 references.  A face reference names a nondegenerate simplex together with a
 strictly decreasing word of degeneracy indices, which is the unique normal
 form of a possibly-degenerate simplex.  Degeneracies act on words alone
-(`_degenerate`), a nondegenerate simplex's faces are stored, `_tables` gives
-every face of a dimension, and `FiniteSimplicialSet.act` any other operator.
+(`_degenerate`).  Faces are stored, or read off a word by the simplicial
+identities (`FiniteSimplicialSet.face`); `act` takes the faces an operator
+calls for, then its degeneracies, and `_tables` every face of a dimension.
 
 Every hom-set, lift and square comes from one search, `extensions`.  Its
 plan per source object (each generator's dimension and face-key reader) is
@@ -29,40 +30,6 @@ OBJECT_CACHE_SIZE = 128
 OPERATOR_CACHE_SIZE = 4096
 
 
-# ---------------------------------------------------------------------------
-# Monotone maps between finite ordinals, encoded as tuples of images.
-# A tuple t of length m+1 with values in 0..n encodes a monotone [m] -> [n].
-
-def _mono_compose(f, g):
-    # f after g: (f . g)(x) = f(g(x))
-    return tuple(f[x] for x in g)
-
-
-def _mono_identity(n):
-    return tuple(range(n + 1))
-
-
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _coface(i, n):
-    # the injection [n-1] -> [n] that skips i
-    return tuple(range(i)) + tuple(range(i + 1, n + 1))
-
-
-def _codegeneracy(i, n):
-    # the surjection [n+1] -> [n] that repeats i
-    return tuple(x if x <= i else x - 1 for x in range(n + 2))
-
-
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _word_to_surj(word, base_dim):
-    """Surjection [base_dim + len(word)] -> [base_dim] named by a decreasing
-    degeneracy word, applied innermost-last."""
-    f = _mono_identity(base_dim)
-    for i in reversed(word):
-        f = _mono_compose(f, _codegeneracy(i, len(f) - 1))
-    return f
-
-
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _degenerate(word, inner):
     """Normal form of s_word s_inner, by s_i s_j = s_{j+1} s_i for i <= j."""
@@ -70,18 +37,6 @@ def _degenerate(word, inner):
         inner = (tuple(v + 1 for v in inner if v >= j) + (j,)
                  + tuple(v for v in inner if v < j))
     return inner
-
-
-def _surj_to_word(f):
-    """Inverse of `_word_to_surj`: the positions where f repeats, largest first."""
-    return tuple(j for j in range(len(f) - 2, -1, -1) if f[j] == f[j + 1])
-
-
-def _epi_mono(h):
-    """Factor a monotone map h as (surjection, injection) with h = inj . surj."""
-    image = sorted(set(h))
-    rank = {v: t for t, v in enumerate(image)}
-    return tuple(rank[v] for v in h), tuple(image)
 
 
 # a tuple keeps memory down and compares and hashes in C: every face, map
@@ -123,7 +78,7 @@ class FiniteSimplicialSet:
     """
 
     __slots__ = ("_by_dim", "_faces", "_dim_of", "_pos", "_key", "_hash",
-                 "_act_memo", "_memo")
+                 "_memo")
 
     def __init__(self, simplices=None, faces=None):
         by_dim = {}
@@ -150,7 +105,6 @@ class FiniteSimplicialSet:
         self._key = (self._by_dim,
                      tuple(sorted(self._faces.items())))
         self._hash = hash(self._key)
-        self._act_memo = {}
         self._memo = {}
 
     # -- basic queries ------------------------------------------------------
@@ -207,39 +161,38 @@ class FiniteSimplicialSet:
     # -- simplicial operator action ----------------------------------------
 
     def act(self, ref, alpha):
-        """Normal form of ref . alpha for a monotone alpha: [m'] -> [m],
-        where m is the dimension of `ref`.
-
-        The degeneracy part of the composite is split off exactly; the
-        injective part is pushed into the stored face data one coface at a
-        time, renormalizing after each step.
-        """
-        key = (ref, alpha)
-        memo = self._act_memo
-        out = memo.get(key)
-        if out is not None:
-            return out
-        k = self._dim_of[ref.base]
-        g = _word_to_surj(ref.word, k) if ref.word else _mono_identity(k)
-        h = _mono_compose(g, alpha)
-        sigma, delta = _epi_mono(h)
-        if len(delta) == k + 1:
-            out = SimplexRef(ref.base, _surj_to_word(sigma))
-        else:
-            missing = max(v for v in range(k + 1) if v not in set(delta))
-            face = self._faces[ref.base][missing]
-            delta2 = tuple(v if v < missing else v - 1 for v in delta)
-            inner = self.act(face, delta2)
-            out = SimplexRef(inner.base, _degenerate(_surj_to_word(sigma),
-                                                     inner.word))
-        memo[key] = out
-        return out
+        """Normal form of ref . alpha, where alpha: [m'] -> [m] is monotone,
+        given as (alpha(0), ..., alpha(m')), and m is the dimension of `ref`.
+        The faces opposite the vertices alpha misses come first, largest
+        vertex first so that the others keep their numbers, then the
+        degeneracies at the positions where alpha repeats."""
+        m = self.ref_dim(ref)
+        for v in sorted(set(range(m + 1)).difference(alpha), reverse=True):
+            ref = self.face(ref, v)
+        word = tuple(j for j in range(len(alpha) - 2, -1, -1)
+                     if alpha[j] == alpha[j + 1])
+        return SimplexRef(ref.base, _degenerate(word, ref.word))
 
     def face(self, ref, i):
-        """The i-th face of `ref`, in normal form (stored if nondegenerate)."""
-        if not ref.word:
-            return self._faces[ref.base][i]
-        return self.act(ref, _coface(i, self.ref_dim(ref)))
+        """The i-th face of `ref` in normal form, by the simplicial
+        identities d_i s_j = id for i = j, j+1, s_{j-1} d_i for i < j and
+        s_j d_{i-1} for i > j+1, peeling the word's outermost index j until
+        the face is reached or a stored face of the base is.  Once i > j+1
+        it stays so; before, the peeled indices exceed the rest of the word,
+        so their concatenation is normal."""
+        word, outer = ref.word, []
+        for t, j in enumerate(word):
+            if i < j:
+                outer.append(j - 1)
+            elif i <= j + 1:
+                return SimplexRef(ref.base, (*outer, *word[t + 1:]))
+            else:
+                outer.append(j)
+                i -= 1
+        face = self._faces[ref.base][i]
+        if not outer:
+            return face
+        return SimplexRef(face.base, _degenerate(tuple(outer), face.word))
 
     def degeneracy(self, ref, i):
         """The i-th degeneracy of `ref`, in normal form."""
@@ -566,25 +519,18 @@ def enumerate_simplices(s, d):
 
 def _tables(x, d):
     """(refs, code, faces): refs = `enumerate_simplices(x, d)`, code[ref] its
-    position there, faces[c] the codes of the faces of refs[c].  For s_j z
-    with j = word[0]: d_i s_j z = z for i = j, j+1, s_{j-1} d_i z for i < j,
-    s_j d_{i-1} z for i > j+1.  Built bottom-up, kept in x's memo."""
+    position there, faces[c] the codes of the faces of refs[c], read by
+    `face`.  Built bottom-up, so that each dimension finds the codes of the
+    one below, and kept in x's memo."""
     memo, have = x._memo, d
     while have >= 0 and ("tables", have) not in memo:
         have -= 1
     for e in range(have + 1, d + 1):
         refs, faces = enumerate_simplices(x, e), []
         if e:
-            _, code, below = memo[("tables", e - 1)]
-            under = memo[("tables", e - 2)][0] if e > 1 else ()
-            for r in refs:
-                if not r.word:
-                    faces.append(tuple([code[f] for f in x._faces[r.base]]))
-                    continue
-                j, z = r.word[0], code[SimplexRef(r.base, r.word[1:])]
-                faces.append(tuple([z if j <= i <= j + 1 else code[
-                    x.degeneracy(under[below[z][i - (i > j)]], j - (i < j))]
-                    for i in range(e + 1)]))
+            code, face = memo[("tables", e - 1)][1], x.face
+            faces = [tuple([code[face(r, i)] for i in range(e + 1)])
+                     for r in refs]
         memo[("tables", e)] = (refs, {r: c for c, r in enumerate(refs)},
                                faces)
     return memo[("tables", d)]
@@ -609,16 +555,15 @@ def _search_plan(a):
     """Per generator of `a`, in `a.names()` order: its dimension and the
     reader of its face key off the chosen images, () for a vertex, an
     itemgetter over the face positions when every face is nondegenerate,
-    else a list of (position, surjection or None) pairs.  Built on a's
-    first search and kept in its memo, never at construction."""
+    else a list of (position, degeneracy word) pairs.  Built on a's first
+    search and kept in its memo, never at construction."""
     plan = a._memo.get("plan")
     if plan is None:
         plan = a._memo["plan"] = []
         for name in a.names():
             refs = a.faces_of(name) if a.dim_of(name) else ()
             if any(r.word for r in refs):
-                read = [(a._pos[r.base], _word_to_surj(r.word, a.dim_of(
-                    r.base)) if r.word else None) for r in refs]
+                read = [(a._pos[r.base], r.word) for r in refs]
             else:
                 read = refs and itemgetter(*(a._pos[r.base] for r in refs))
             plan.append((a.dim_of(name), read))
@@ -636,8 +581,8 @@ def extensions(a, x, pins=None, over=None):
     are those of a search that looks everything up at every node.
 
     `pins` maps the position of a generator in `a.names()` to pairs
-    (alpha, want) that its image h must satisfy: x.act(h, alpha) == want,
-    or h == want when alpha is None.  `over` is a pair (f, bottom) of maps
+    (word, want) that its image h must satisfy: s_word h == want, which is
+    h == want for the empty word.  `over` is a pair (f, bottom) of maps
     x -> y and a -> y; only maps h with f . h == bottom come out.  When
     exhausted, the generator returns the count of refuted candidates: |x_d|
     summed over the search nodes visited, degenerate d-simplices included.
@@ -663,15 +608,17 @@ def extensions(a, x, pins=None, over=None):
                 pool, index = tables[d]
                 refuted += len(pool)
                 if type(read) is list:
-                    pool = index.get(tuple([chosen[p] if s is None else x.act(
-                        chosen[p], s) for p, s in read]), ())
+                    pool = index.get(tuple([chosen[p] if not w else SimplexRef(
+                        chosen[p].base, _degenerate(w, chosen[p].word))
+                        for p, w in read]), ())
                 elif read:
                     pool = index.get(read(chosen), ())
-                for alpha, want in pins.get(t, ()):
-                    if alpha is None:
+                for word, want in pins.get(t, ()):
+                    if not word:
                         pool = (want,) if want in pool else ()
                     else:
-                        pool = [h for h in pool if x.act(h, alpha) == want]
+                        pool = [h for h in pool if SimplexRef(
+                            h.base, _degenerate(word, h.word)) == want]
                 if over is not None:
                     f, below = over[0], over[1].img[t]
                     pool = [h for h in pool if f(h) == below]

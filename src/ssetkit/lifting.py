@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from ssetkit.core import (
     SimplicialMap,
-    _word_to_surj,
     boundary_inclusion,
     compose,
     enumerate_maps,
@@ -86,14 +85,11 @@ def verify_lift(problem, diagonal):
 def _pins(i, wants):
     """Pins for `extensions` on maps h out of i.target with h . i = wants,
     where `wants` is a tuple of images in `i.source.names()` order: for the
-    position of each generator u of i.target, the pairs (alpha, want) with
-    i(a) = u . alpha and wants(a) = want."""
-    b = i.target
+    position of each generator u of i.target, the pairs (word, want) with
+    i(a) = s_word u and wants(a) = want."""
     pins = {}
     for ref, want in zip(i.img, wants):
-        alpha = (_word_to_surj(ref.word, b.dim_of(ref.base))
-                 if ref.word else None)
-        pins.setdefault(b._pos[ref.base], []).append((alpha, want))
+        pins.setdefault(i.target._pos[ref.base], []).append((ref.word, want))
     return pins
 
 

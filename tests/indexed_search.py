@@ -1,21 +1,19 @@
 """The search that `core.extensions` replaced, kept as the test oracle.
 
-`extensions` is the earlier library code, unchanged.  It looks up every
-generator's dimension, faces, face positions and degeneracy surjections
-again at each search node, in a `candidates` closure called once per node,
-and fetches the target's simplices and face index there too.
+`extensions` is the earlier library code, unchanged except that it takes
+the library's pins, degeneracy words, and turns them into surjections
+itself.  It looks up every generator's dimension, faces, face positions and
+degeneracy surjections again at each search node, in a `candidates` closure
+called once per node, and fetches the target's simplices and face index
+there too.  Every operator goes through `naive_operators.act`.
 
 `_face_index` is the earlier face index, built by `act` from one coface per
 face of every simplex (the earlier `FiniteSimplicialSet.face`, inlined), so
 the oracle does not move with the tables that build the library's index.
 """
 
-from ssetkit.core import (
-    _coface,
-    _positional,
-    _word_to_surj,
-    enumerate_simplices,
-)
+from naive_operators import _coface, _word_to_surj, act
+from ssetkit.core import _positional, enumerate_simplices
 
 
 def _face_index(x, d):
@@ -25,7 +23,7 @@ def _face_index(x, d):
     if index is None:
         index = x._memo[("act faces", d)] = {}
         for ref in enumerate_simplices(x, d):
-            faces = tuple(x.act(ref, _coface(i, d)) for i in range(d + 1))
+            faces = tuple(act(x, ref, _coface(i, d)) for i in range(d + 1))
             index.setdefault(faces, []).append(ref)
     return index
 
@@ -37,9 +35,10 @@ def extensions(a, x, pins=None, over=None):
     images already chosen for its faces, looked up in `_face_index`.
 
     `pins` maps the position of a generator in `a.names()` to pairs
-    (alpha, want) that its image h must satisfy: x.act(h, alpha) == want,
-    or h == want when alpha is None.  `over` is a pair (f, bottom) of maps
-    x -> y and a -> y; only maps h with f . h == bottom come out.  When
+    (word, want) that its image h must satisfy: h . alpha == want for the
+    surjection alpha that `word` names, or h == want when `word` is empty.
+    `over` is a pair (f, bottom) of maps x -> y and a -> y; only maps h
+    with f . h == bottom come out.  When
     exhausted, the generator returns the count of refuted candidates: |x_d|
     summed over the search nodes visited, degenerate d-simplices included.
     """
@@ -57,15 +56,17 @@ def extensions(a, x, pins=None, over=None):
         pool = enumerate_simplices(x, d)
         refuted += len(pool)
         if d:
-            key = tuple(chosen[pos[r.base]] if not r.word else x.act(
-                chosen[pos[r.base]], _word_to_surj(r.word, a.dim_of(r.base)))
+            key = tuple(chosen[pos[r.base]] if not r.word else act(
+                x, chosen[pos[r.base]], _word_to_surj(r.word,
+                                                      a.dim_of(r.base)))
                 for r in a.faces_of(name))
             pool = _face_index(x, d).get(key, ())
-        for alpha, want in pins.get(t, ()):
-            if alpha is None:
+        for word, want in pins.get(t, ()):
+            if not word:
                 pool = (want,) if want in pool else ()
             else:
-                pool = [h for h in pool if x.act(h, alpha) == want]
+                alpha = _word_to_surj(word, d)
+                pool = [h for h in pool if act(x, h, alpha) == want]
         if over is not None:
             f, below = over[0], over[1].img[t]
             pool = [h for h in pool if f(h) == below]

@@ -6,15 +6,17 @@ extracts normal forms with a memoized recursive closure, and recovers
 provenance by parsing the coproduct's "i0_"/"i1_" prefixes out of names.
 """
 
+from naive_operators import (
+    _codegeneracy,
+    _mono_compose,
+    _surj_to_word,
+    _word_to_surj,
+)
 from ssetkit.colimits import PushoutResult, _DisjointSet, coproduct
 from ssetkit.core import (
     FiniteSimplicialSet,
     SimplexRef,
-    _codegeneracy,
-    _mono_compose,
     _positional,
-    _surj_to_word,
-    _word_to_surj,
     compose,
     enumerate_simplices,
 )

@@ -8,12 +8,8 @@ generator.  `solve_lift` recurses once per generator, so it is bounded by
 Python's recursion limit.
 """
 
-from ssetkit.core import (
-    SimplicialMap,
-    _word_to_surj,
-    compose,
-    enumerate_simplices,
-)
+from naive_operators import _word_to_surj, act
+from ssetkit.core import SimplicialMap, compose, enumerate_simplices
 from ssetkit.lifting import Lift, LiftingProblem, NoLift
 
 
@@ -32,7 +28,7 @@ def enumerate_maps(a, x):
             img = images[fr.base]
             if fr.word:
                 g = _word_to_surj(fr.word, a.dim_of(fr.base))
-                want = x.act(img, g)
+                want = act(x, img, g)
             else:
                 want = img
             if x.face(cand, i) != want:
@@ -90,7 +86,7 @@ def solve_lift(problem):
 
     def admissible(name, d, cand):
         for surj, want in top_constraints.get(name, ()):
-            got = x.act(cand, surj) if surj else cand
+            got = act(x, cand, surj) if surj else cand
             if got != want:
                 return False
         if f(cand) != problem.bottom.images[name]:
@@ -99,7 +95,8 @@ def solve_lift(problem):
             fr = b.faces_of(name)[t]
             img = images[fr.base]
             if fr.word:
-                want = x.act(img, _word_to_surj(fr.word, b.dim_of(fr.base)))
+                want = act(x, img, _word_to_surj(fr.word,
+                                                 b.dim_of(fr.base)))
             else:
                 want = img
             if x.face(cand, t) != want:

@@ -165,11 +165,14 @@ def test_pins_and_over_filter_the_search():
         return [h.images["01"]
                 for h in extensions(simplex(1), x, pins, over)]
 
-    at_a = {0: [(None, a)], 1: [(None, a)]}
+    at_a = {0: [((), a)], 1: [((), a)]}
     assert edges(at_a) == [SimplexRef("a", (0,)), SimplexRef("l")]
-    # pins through operators: the edge runs from a to b
-    assert edges({2: [((0,), a), ((1,), b)]}) == [SimplexRef("f"),
-                                                  SimplexRef("g")]
+    # pins through degeneracy words, as a lifting problem makes them when
+    # its left map sends a simplex to a degenerate one: s_1 of the edge is
+    # s_1 g, and s_0 of the edge is s_0 s_0 a
+    assert edges({2: [((1,), SimplexRef("g", (1,)))]}) == [SimplexRef("g")]
+    assert edges({2: [((0,), SimplexRef("a", (1, 0)))]}) == [
+        SimplexRef("a", (0,))]
     # over the map to Delta^1 that sends a to 0 and b to 1, the pin on
     # vertex 0 and the bottom map pick the edges out of a
     to_interval = SimplicialMap(x, simplex(1), {
@@ -177,10 +180,10 @@ def test_pins_and_over_filter_the_search():
         "l": SimplexRef("0", (0,)), "f": SimplexRef("01"),
         "g": SimplexRef("01")})
     over_id = (to_interval, identity(simplex(1)))
-    assert edges({0: [(None, a)]}, over_id) == [SimplexRef("f"),
-                                                SimplexRef("g")]
+    assert edges({0: [((), a)]}, over_id) == [SimplexRef("f"),
+                                              SimplexRef("g")]
     constant = enumerate_maps(simplex(1), simplex(1))[0]
-    assert edges({0: [(None, a)]}, (to_interval, constant)) == \
+    assert edges({0: [((), a)]}, (to_interval, constant)) == \
         [SimplexRef("a", (0,)), SimplexRef("l")]
 
 
@@ -240,6 +243,6 @@ def test_every_memo_is_bounded():
              for name, fn in vars(module).items()
              if hasattr(fn, "cache_info")]
     assert {name for _, name, _ in memos} >= {
-        "enumerate_maps", "_word_to_surj", "_coface", "simplex"}
+        "enumerate_maps", "_degenerate", "simplex"}
     for module, name, fn in memos:
         assert fn.cache_info().maxsize is not None, f"{module}.{name}"

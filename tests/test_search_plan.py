@@ -79,14 +79,14 @@ def test_pinned_and_over_searches_match_the_indexed_search():
 
 def test_both_face_readers_are_taken():
     # a source whose faces are all nondegenerate reads its keys with one
-    # itemgetter; one with a degenerate face precomputes its surjections
+    # itemgetter; one with a degenerate face keeps each face's word
     readers = [read for a in STANDARD + QUOTIENTS + stage_objects()
                for _, read in _search_plan(a)]
     assert any(type(read) is itemgetter for read in readers)
     assert any(type(read) is list for read in readers)
-    surjections = [s for _, read in _search_plan(sphere2())
-                   if type(read) is list for _, s in read]
-    assert surjections and all(s is not None for s in surjections)
+    words = [w for _, read in _search_plan(sphere2())
+             if type(read) is list for _, w in read]
+    assert words and all(words)
     assert all(type(read) is not list for _, read in _search_plan(
         dunce_cap()))
 

@@ -1,19 +1,24 @@
-"""The face tables against `act`: the face index built from `_tables` equals
-the one `indexed_search` builds by `act` (keys, key order and groups),
-`face` equals `act` with a coface, degeneracies and map images by
-degeneracy words equal `act` with a surjection, and `enumerate_simplices`
-lists each dimension in `ref_key` order, which the codes of `_tables` rely
-on.  The
-objects are the standard ones up to dimension 4, the small pool, and every
-stage object of the acceptance-corpus factorizations."""
+"""The operator calculus against the surjection calculus it replaced
+(`naive_operators.act`): the face index built from `_tables` equals the one
+`indexed_search` builds by the reference `act` (keys, key order and groups),
+`face` equals the reference `act` with a coface, degeneracies and map
+images by degeneracy words equal it with a surjection, and `act` equals it
+on every monotone map out of a sample of small ordinals.  Neither `act`
+nor the tables recurse, so deep objects need no frame per dimension.
+`enumerate_simplices` lists each dimension in `ref_key` order, which the
+codes of `_tables` rely on.  The objects are the standard ones up to
+dimension 4, the small pool, and every stage object of the
+acceptance-corpus factorizations."""
 
 import os
 import pathlib
 import subprocess
 import sys
 from functools import lru_cache
+from itertools import combinations_with_replacement, islice
 
 import indexed_search as indexed
+import naive_operators as naive
 import ssetkit
 from instances import SMALL_POOL
 from test_acceptance import _factorization_corpus
@@ -21,11 +26,8 @@ from test_search import QUOTIENTS
 from ssetkit.core import (
     FiniteSimplicialSet,
     SimplexRef,
-    _codegeneracy,
-    _coface,
     _face_index,
     _tables,
-    _word_to_surj,
     boundary,
     enumerate_maps,
     enumerate_simplices,
@@ -71,7 +73,8 @@ def test_face_equals_act_with_a_coface():
         for d in range(1, x.dim + 2):
             for ref in enumerate_simplices(x, d):
                 for i in range(d + 1):
-                    assert x.face(ref, i) == x.act(ref, _coface(i, d))
+                    assert x.face(ref, i) == naive.act(
+                        x, ref, naive._coface(i, d))
 
 
 def test_degeneracy_words_equal_act():
@@ -79,8 +82,8 @@ def test_degeneracy_words_equal_act():
         for d in range(x.dim + 2):
             for ref in enumerate_simplices(x, d):
                 for i in range(d + 1):
-                    assert x.degeneracy(ref, i) == x.act(
-                        ref, _codegeneracy(i, d))
+                    assert x.degeneracy(ref, i) == naive.act(
+                        x, ref, naive._codegeneracy(i, d))
 
 
 def test_map_images_of_degenerate_simplices_equal_act():
@@ -89,8 +92,9 @@ def test_map_images_of_degenerate_simplices_equal_act():
         for x in [simplex(2)] + QUOTIENTS + corpus_stages()[-3:]:
             for f in enumerate_maps(a, x)[:40]:
                 for ref in enumerate_simplices(a, a.dim + 2):
-                    want = x.act(f.img[a._pos[ref.base]], _word_to_surj(
-                        ref.word, a.dim_of(ref.base)))
+                    want = naive.act(x, f.img[a._pos[ref.base]],
+                                     naive._word_to_surj(
+                                         ref.word, a.dim_of(ref.base)))
                     assert f(ref) == want
                     checked += 1
     assert checked > 1000
@@ -105,7 +109,34 @@ def test_faces_by_code_are_the_faces():
             assert [code[r] for r in refs] == list(range(len(refs)))
             for ref, key in zip(refs, faces):
                 assert [below[c] for c in key] == [
-                    x.act(ref, _coface(i, d)) for i in range(d + 1)]
+                    naive.act(x, ref, naive._coface(i, d))
+                    for i in range(d + 1)]
+
+
+def monotone_maps(m, top):
+    """Every monotone map [m] -> [top], as its tuple of images."""
+    return combinations_with_replacement(range(top + 1), m + 1)
+
+
+def operator_pairs():
+    """(x, ref, alpha) for every simplex ref of each object, in every
+    dimension up to one above the object's, and every monotone map alpha
+    into it from an ordinal of at most one dimension more."""
+    for x in objects():
+        for d in range(x.dim + 2):
+            for ref in enumerate_simplices(x, d):
+                for m in range(d + 2):
+                    for alpha in monotone_maps(m, d):
+                        yield x, ref, alpha
+
+
+def test_act_equals_the_reference_act():
+    # every 31st pair: the whole sweep takes about 20 s
+    compared = 0
+    for x, ref, alpha in islice(operator_pairs(), 0, None, 31):
+        assert x.act(ref, alpha) == naive.act(x, ref, alpha), (ref, alpha)
+        compared += 1
+    assert compared > 25000
 
 
 def test_simplices_are_listed_in_ref_key_order():
@@ -137,16 +168,39 @@ print(len(enumerate_maps(sphere, sphere)))
 """
 
 
-def test_tables_of_a_deep_object_need_no_recursion():
+CHAIN_UNDER_A_LOW_LIMIT = """
+import sys
+from ssetkit.core import FiniteSimplicialSet, SimplexRef
+
+# one nondegenerate simplex per dimension, each face the one below
+chain = FiniteSimplicialSet(
+    {d: [f"x{d}"] for d in range(151)},
+    {f"x{d}": [SimplexRef(f"x{d - 1}")] * (d + 1) for d in range(1, 151)})
+sys.setrecursionlimit(100)
+print(repr(chain.act(SimplexRef("x150"), (0,))))
+"""
+
+
+def run_under_a_low_limit(script):
     # a frame per dimension would not fit under a limit of 100 frames
     src = pathlib.Path(ssetkit.__file__).resolve().parent.parent
     path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    done = subprocess.run([sys.executable, "-c", SPHERE_UNDER_A_LOW_LIMIT],
+    done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "2\n"
+    return done.stdout
+
+
+def test_tables_of_a_deep_object_need_no_recursion():
+    assert run_under_a_low_limit(SPHERE_UNDER_A_LOW_LIMIT) == "2\n"
+
+
+def test_act_dropping_many_vertices_needs_no_recursion():
+    # the vertex of a 150-simplex: 150 faces, one dropped vertex each
+    assert run_under_a_low_limit(CHAIN_UNDER_A_LOW_LIMIT) == \
+        "SimplexRef('x0')\n"
 
 
 def test_tables_start_from_the_highest_dimension_built():
