@@ -162,11 +162,15 @@ class FiniteSimplicialSet:
 
     def act(self, ref, alpha):
         """Normal form of ref . alpha, where alpha: [m'] -> [m] is monotone,
-        given as (alpha(0), ..., alpha(m')), and m is the dimension of `ref`.
-        The faces opposite the vertices alpha misses come first, largest
-        vertex first so that the others keep their numbers, then the
-        degeneracies at the positions where alpha repeats."""
+        given as (alpha(0), ..., alpha(m')), and m is the dimension of `ref`;
+        ValueError unless alpha is nonempty, nondecreasing and in 0..m.  The
+        faces opposite the vertices alpha misses come first, largest vertex
+        first so that the others keep their numbers, then the degeneracies
+        at the positions where alpha repeats."""
         m = self.ref_dim(ref)
+        if not alpha or not 0 <= alpha[0] <= alpha[-1] <= m or any(
+                a > b for a, b in zip(alpha, alpha[1:])):
+            raise ValueError(f"act: {alpha!r} is not an operator into [{m}]")
         for v in sorted(set(range(m + 1)).difference(alpha), reverse=True):
             ref = self.face(ref, v)
         word = tuple(j for j in range(len(alpha) - 2, -1, -1)

@@ -3,8 +3,9 @@
 `indexed_search` builds by the reference `act` (keys, key order and groups),
 `face` equals the reference `act` with a coface, degeneracies and map
 images by degeneracy words equal it with a surjection, and `act` equals it
-on every monotone map out of a sample of small ordinals.  Neither `act`
-nor the tables recurse, so deep objects need no frame per dimension.
+on every monotone map out of a sample of small ordinals.  `act` refuses
+what is not a monotone map, and neither `act` nor the tables recurse, so
+deep objects need no frame per dimension.
 `enumerate_simplices` lists each dimension in `ref_key` order, which the
 codes of `_tables` rely on.  The objects are the standard ones up to
 dimension 4, the small pool, and every stage object of the
@@ -16,6 +17,8 @@ import subprocess
 import sys
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice
+
+import pytest
 
 import indexed_search as indexed
 import naive_operators as naive
@@ -137,6 +140,22 @@ def test_act_equals_the_reference_act():
         assert x.act(ref, alpha) == naive.act(x, ref, alpha), (ref, alpha)
         compared += 1
     assert compared > 25000
+
+
+@pytest.mark.parametrize("alpha", [(2, 0), (0, 5), (1, 1, 0), (), (-1, 0),
+                                   (0, 3, 3)])
+def test_act_refuses_what_is_not_a_monotone_map(alpha):
+    # an operator on the top simplex of Delta^2 is a nondecreasing,
+    # nonempty tuple with values in 0..2
+    with pytest.raises(ValueError, match="not an operator into \\[2\\]"):
+        simplex(2).act(SimplexRef("012"), alpha)
+
+
+def test_act_takes_the_operators_at_the_edges_of_the_range():
+    top, x = SimplexRef("012"), simplex(2)
+    assert x.act(top, (0, 1, 2)) == top
+    assert x.act(top, (2,)) == SimplexRef("2")
+    assert x.act(top, (0, 0, 2, 2)) == SimplexRef("02", (2, 0))
 
 
 def test_simplices_are_listed_in_ref_key_order():
