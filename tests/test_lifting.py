@@ -15,6 +15,7 @@ from ssetkit.core import (
     identity,
     simplex,
 )
+from ssetkit import lifting
 from ssetkit.colimits import coproduct, pushout, sequential_colimit
 from ssetkit.lifting import (
     Lift,
@@ -24,6 +25,7 @@ from ssetkit.lifting import (
     RetractDiagram,
     check_rlp,
     enumerate_squares,
+    generator,
     generator_family,
     lift_via_composition,
     lift_via_coproduct,
@@ -380,3 +382,177 @@ class TestRetractArgument:
                            identity(simplex(0)))
         out = lift_via_retract(d, p)
         assert verify_lift(p, out.diagonal)
+
+
+# ---------------------------------------------------------------------------
+# Every guard of the lifting module, one case each.  A guard against the
+# library's own fault is reached through a planted defect: a solver that
+# returns a diagonal it never checked, or a composition with a wrong
+# shortcut for identities.
+
+def interval_square():
+    i = boundary_inclusion(1)
+    return LiftingProblem(i, identity(simplex(1)), i, identity(simplex(1)))
+
+
+def constant_on_interval():
+    # Delta^1 -> Delta^1 through vertex 0: fails the bottom triangle of
+    # `interval_square`
+    return SimplicialMap(simplex(1), simplex(1), {
+        "0": SimplexRef("0"), "1": SimplexRef("0"),
+        "01": SimplexRef("0", (0,))})
+
+
+def point_into_interval():
+    return SimplicialMap(simplex(0), simplex(1), {"0": SimplexRef("0")})
+
+
+def retract(**maps):
+    # i : ∂Δ¹ -> Δ¹ as a retract of itself by identities, with some maps
+    # replaced
+    i = boundary_inclusion(1)
+    given = dict(i=i, j=i, a_in=identity(i.source), a_out=identity(i.source),
+                 b_in=identity(i.target), b_out=identity(i.target))
+    return RetractDiagram(**{**given, **maps})
+
+
+def right_square_fails():
+    # the point into Delta^1 as a "retract" of both vertices into it: every
+    # check holds up to the right square, which sees j send vertex 1 to 1
+    two = boundary(1)
+    RetractDiagram(
+        i=point_into_interval(), j=boundary_inclusion(1),
+        a_in=SimplicialMap(simplex(0), two, {"0": SimplexRef("0")}),
+        a_out=SimplicialMap(two, simplex(0), {"0": SimplexRef("0"),
+                                               "1": SimplexRef("0")}),
+        b_in=identity(simplex(1)), b_out=identity(simplex(1)))
+
+
+def outer_square_fails(monkeypatch):
+    # with a sound composition the outer square follows from the others;
+    # the planted fault answers g . id with id
+    two = boundary(1)
+    i = point_into_interval()
+    monkeypatch.setattr(lifting, "compose", lambda g, f: f if f == identity(
+        f.source) else compose(g, f))
+    RetractDiagram(
+        i=i, j=compose(i, SimplicialMap(two, simplex(0), {
+            "0": SimplexRef("0"), "1": SimplexRef("0")})),
+        a_in=SimplicialMap(simplex(0), two, {"0": SimplexRef("0")}),
+        a_out=SimplicialMap(two, simplex(0), {"0": SimplexRef("0"),
+                                               "1": SimplexRef("0")}),
+        b_in=identity(simplex(1)), b_out=identity(simplex(1)))
+
+
+def unchecked_solver(monkeypatch):
+    # the planted fault: a solver whose diagonal fails its triangles
+    monkeypatch.setattr(lifting, "solve_lift",
+                        lambda problem: Lift(constant_on_interval()))
+
+
+def retract_transfer_fails(monkeypatch):
+    unchecked_solver(monkeypatch)
+    lift_via_retract(retract(), interval_square())
+
+
+def pushout_square():
+    # the pushout of ∂Δ¹ -> Δ¹ along the identity of ∂Δ¹
+    p = pushout(boundary_inclusion(1), identity(boundary(1)))
+    c = identity(p.corner)
+    return p, LiftingProblem(p.leg_from_c, c, p.leg_from_c, c)
+
+
+def pushout_wrong_leg():
+    p, _ = pushout_square()
+    c = identity(p.corner)
+    lift_via_pushout(p, LiftingProblem(p.leg_from_b, c, p.leg_from_b, c),
+                     identity(simplex(1)))
+
+
+def pushout_no_cocone():
+    # w sends both ends of the edge to one vertex, the top map to two
+    p, square = pushout_square()
+    w = [m for m in enumerate_maps(simplex(1), p.corner)
+         if m.images["01"].degenerate][0]
+    lift_via_pushout(p, square, w)
+
+
+def coproduct_rights_disagree():
+    p = interval_square()
+    f = the_map(simplex(1), simplex(0))
+    q = LiftingProblem(p.left, f, compose(identity(simplex(1)), p.left),
+                       the_map(simplex(1), simplex(0)))
+    lift_via_coproduct([p, q], [solve_lift(p), solve_lift(q)])
+
+
+def one_stage():
+    rec = sequential_colimit([point_into_interval()])
+    comp = rec.composite()
+    return rec, LiftingProblem(comp, identity(simplex(1)), comp,
+                               identity(simplex(1)))
+
+
+def composition_wrong_left():
+    rec, _ = one_stage()
+    lift_via_composition(rec, interval_square())
+
+
+def composition_assembly_fails(monkeypatch):
+    unchecked_solver(monkeypatch)
+    lift_via_composition(*one_stage())
+
+
+GUARDS = [
+    ("top-endpoints", lambda mp: LiftingProblem(
+        boundary_inclusion(1), identity(simplex(1)), identity(simplex(1)),
+        identity(simplex(1))), ValueError, "top map endpoints"),
+    ("bottom-endpoints", lambda mp: LiftingProblem(
+        boundary_inclusion(1), identity(simplex(1)), boundary_inclusion(1),
+        identity(boundary(1))), ValueError, "bottom map endpoints"),
+    ("generator-kind", lambda mp: generator("K", 1), ValueError,
+     "unknown generator kind 'K'"),
+    ("family-kind", lambda mp: generator_family("K", 1), ValueError,
+     "unknown generator family 'K'"),
+    ("retract-top", lambda mp: retract(a_out=SimplicialMap(
+        boundary(1), boundary(1), {"0": SimplexRef("0"),
+                                   "1": SimplexRef("0")})),
+     ValueError, "top composite is not the identity"),
+    ("retract-bottom", lambda mp: retract(b_out=constant_on_interval()),
+     ValueError, "bottom composite is not the identity"),
+    ("retract-left", lambda mp: retract(j=compose(
+        constant_on_interval(), boundary_inclusion(1))),
+     ValueError, "left square does not commute"),
+    ("retract-right", lambda mp: right_square_fails(), ValueError,
+     "right square does not commute"),
+    ("retract-outer", outer_square_fails, ValueError,
+     "outer square does not commute"),
+    ("retract-wrong-left", lambda mp: lift_via_retract(
+        retract(), LiftingProblem(horn_inclusion(1, 0), identity(simplex(1)),
+                                  horn_inclusion(1, 0), identity(simplex(1)))),
+     ValueError, "not a square for i"),
+    ("retract-transfer", retract_transfer_fails, LiftTransferError,
+     "transferred map fails its triangles"),
+    ("pushout-wrong-leg", lambda mp: pushout_wrong_leg(), ValueError,
+     "not a square for the pushout leg"),
+    ("pushout-no-cocone", lambda mp: pushout_no_cocone(), LiftTransferError,
+     "cocone does not commute"),
+    ("coproduct-rights", lambda mp: coproduct_rights_disagree(),
+     LiftTransferError, "disagree on the right map"),
+    ("coproduct-assembly", lambda mp: lift_via_coproduct(
+        [interval_square()], [Lift(constant_on_interval())]),
+     LiftTransferError, "assembled diagonal fails its triangles"),
+    ("composition-wrong-left", lambda mp: composition_wrong_left(),
+     ValueError, "not the chain composite"),
+    ("composition-assembly", composition_assembly_fails, LiftTransferError,
+     "assembled diagonal fails its triangles"),
+    ("retract-argument", lambda mp: retract_argument(
+        boundary_inclusion(1), boundary_inclusion(1), constant_on_interval(),
+        Lift(identity(simplex(1)))), ValueError, r"g != p \. i"),
+]
+
+
+@pytest.mark.parametrize("case,exc,match", [g[1:] for g in GUARDS],
+                         ids=[g[0] for g in GUARDS])
+def test_every_guard_raises(case, exc, match, monkeypatch):
+    with pytest.raises(exc, match=match):
+        case(monkeypatch)
