@@ -508,50 +508,27 @@ def enumerate_simplices(s, d):
         return out
     refs = []
     for e in range(d + 1):
-        for name in s.simplices(e):
-            r = d - e
-            if r == 0:
-                refs.append(SimplexRef(name))
-            else:
-                words = sorted(tuple(reversed(c))
-                               for c in combinations(range(d), r))
-                refs.extend(SimplexRef(name, w) for w in words)
+        names = s.simplices(e)
+        if names:   # an empty dimension would still cost C(d, e) words
+            words = sorted(tuple(reversed(c))
+                           for c in combinations(range(d), d - e))
+            refs.extend(SimplexRef(name, w) for name in names for w in words)
     out = tuple(refs)
     memo[key] = out
     return out
 
 
-def _tables(x, d):
-    """(refs, code, faces): refs = `enumerate_simplices(x, d)`, code[ref] its
-    position there, faces[c] the codes of the faces of refs[c], read by
-    `face`.  Built bottom-up, so that each dimension finds the codes of the
-    one below, and kept in x's memo."""
-    memo, have = x._memo, d
-    while have >= 0 and ("tables", have) not in memo:
-        have -= 1
-    for e in range(have + 1, d + 1):
-        refs, faces = enumerate_simplices(x, e), []
-        if e:
-            code, face = memo[("tables", e - 1)][1], x.face
-            faces = [tuple([code[face(r, i)] for i in range(e + 1)])
-                     for r in refs]
-        memo[("tables", e)] = (refs, {r: c for c, r in enumerate(refs)},
-                               faces)
-    return memo[("tables", d)]
-
-
 def _face_index(x, d):
     """The d-simplices of x by face tuple (face_0, ..., face_d), in canonical
-    order within a group, read off `_tables`; kept in x's memo."""
+    order within a group, read off `face`; kept in x's memo once complete,
+    so that a build that raises leaves no entry."""
     index = x._memo.get(("faces", d))
     if index is None:
-        refs, _, faces = _tables(x, d)
-        below, groups = enumerate_simplices(x, d - 1), {}
-        for ref, key in zip(refs, faces):
-            groups.setdefault(key, []).append(ref)
-        index = x._memo[("faces", d)] = {
-            tuple([below[c] for c in key]): group
-            for key, group in groups.items()}
+        index, face = {}, x.face
+        for ref in enumerate_simplices(x, d):
+            index.setdefault(tuple([face(ref, i) for i in range(d + 1)]),
+                             []).append(ref)
+        x._memo[("faces", d)] = index
     return index
 
 

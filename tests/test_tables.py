@@ -1,14 +1,15 @@
 """The operator calculus against the surjection calculus it replaced
-(`naive_operators.act`): the face index built from `_tables` equals the one
+(`naive_operators.act`): the face index read off `face` equals the one
 `indexed_search` builds by the reference `act` (keys, key order and groups),
 `face` equals the reference `act` with a coface, degeneracies and map
 images by degeneracy words equal it with a surjection, and `act` equals it
 on every monotone map out of a sample of small ordinals.  `act` refuses
-what is not a monotone map, and neither `act` nor the tables recurse, so
-deep objects need no frame per dimension.
+what is not a monotone map, and neither `act` nor the face index recurses,
+so deep objects need no frame per dimension.  The index of a dimension is
+built alone, from that dimension's simplices, and kept only once complete.
 `enumerate_simplices` lists each dimension in `ref_key` order, which the
-codes of `_tables` rely on.  The objects are the standard ones up to
-dimension 4, the small pool, and every stage object of the
+order within an index group follows.  The objects are the standard ones up
+to dimension 4, the small pool, and every stage object of the
 acceptance-corpus factorizations."""
 
 import os
@@ -30,7 +31,6 @@ from ssetkit.core import (
     FiniteSimplicialSet,
     SimplexRef,
     _face_index,
-    _tables,
     boundary,
     enumerate_maps,
     enumerate_simplices,
@@ -103,19 +103,6 @@ def test_map_images_of_degenerate_simplices_equal_act():
     assert checked > 1000
 
 
-def test_faces_by_code_are_the_faces():
-    for x in objects():
-        for d in range(1, x.dim + 2):
-            refs, code, faces = _tables(x, d)
-            below = enumerate_simplices(x, d - 1)
-            assert refs is enumerate_simplices(x, d)
-            assert [code[r] for r in refs] == list(range(len(refs)))
-            for ref, key in zip(refs, faces):
-                assert [below[c] for c in key] == [
-                    naive.act(x, ref, naive._coface(i, d))
-                    for i in range(d + 1)]
-
-
 def monotone_maps(m, top):
     """Every monotone map [m] -> [top], as its tuple of images."""
     return combinations_with_replacement(range(top + 1), m + 1)
@@ -171,8 +158,7 @@ def test_no_table_is_built_at_construction():
     x = FiniteSimplicialSet({0: ["v"], 2: ["t"]}, {"t": [v, v, v]})
     assert not x._memo
     _face_index(x, 2)
-    assert sorted(k for k in x._memo if k[0] == "tables") == [
-        ("tables", 0), ("tables", 1), ("tables", 2)]
+    assert sorted(x._memo) == [("faces", 2), ("simplices", 2)]
 
 
 SPHERE_UNDER_A_LOW_LIMIT = """
@@ -222,14 +208,21 @@ def test_act_dropping_many_vertices_needs_no_recursion():
         "SimplexRef('x0')\n"
 
 
-def test_tables_start_from_the_highest_dimension_built():
+def test_the_index_builds_only_its_own_dimension():
+    # a fresh copy of Delta^3, whose memo the shared one may have filled
     x = FiniteSimplicialSet(dict(enumerate(simplex(3)._by_dim)),
                             simplex(3)._faces)
-    _tables(x, 1)
-    built = {key for key in x._memo if key[0] == "tables"}
-    assert built == {("tables", 0), ("tables", 1)}
-    _tables(x, 3)
-    assert {key for key in x._memo if key[0] == "tables"} == {
-        ("tables", d) for d in range(4)}
-    for d in range(4):
-        assert _tables(x, d)[0] == enumerate_simplices(x, d)
+    index = _face_index(x, 3)
+    assert set(x._memo) == {("simplices", 3), ("faces", 3)}
+    assert _face_index(x, 3) is index
+    assert [ref for group in index.values() for ref in group] == list(
+        enumerate_simplices(x, 3))
+
+
+def test_an_index_build_that_raises_leaves_no_entry():
+    # an edge with one stored face: face 1 of it is not there
+    x = FiniteSimplicialSet({0: ["a"], 1: ["e"]}, {"e": [SimplexRef("a")]})
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            _face_index(x, 1)
+        assert ("faces", 1) not in x._memo
