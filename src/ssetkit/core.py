@@ -183,7 +183,11 @@ class FiniteSimplicialSet:
         s_j d_{i-1} for i > j+1, peeling the word's outermost index j until
         the face is reached or a stored face of the base is.  Once i > j+1
         it stays so; before, the peeled indices exceed the rest of the word,
-        so their concatenation is normal."""
+        so their concatenation is normal.  ValueError unless ref has
+        dimension m >= 1 and 0 <= i <= m."""
+        m = self.ref_dim(ref)
+        if not 0 <= i <= m or not m:
+            raise ValueError(f"face: {i!r} is not a face of a {m}-simplex")
         word, outer = ref.word, []
         for t, j in enumerate(word):
             if i < j:
@@ -199,7 +203,12 @@ class FiniteSimplicialSet:
         return SimplexRef(face.base, _degenerate(tuple(outer), face.word))
 
     def degeneracy(self, ref, i):
-        """The i-th degeneracy of `ref`, in normal form."""
+        """The i-th degeneracy of `ref`, in normal form; ValueError unless
+        0 <= i <= m for ref of dimension m."""
+        m = self.ref_dim(ref)
+        if not 0 <= i <= m:
+            raise ValueError(
+                f"degeneracy: {i!r} is not a degeneracy of a {m}-simplex")
         return SimplexRef(ref.base, _degenerate((i,), ref.word))
 
 

@@ -138,6 +138,23 @@ def test_act_refuses_what_is_not_a_monotone_map(alpha):
         simplex(2).act(SimplexRef("012"), alpha)
 
 
+@pytest.mark.parametrize("ref,i", [("012", -1), ("012", 3), ("0", 0),
+                                   ("01", 2)])
+def test_face_refuses_an_index_outside_the_range(ref, i):
+    # a simplex of dimension m >= 1 has faces 0..m; a vertex has none
+    with pytest.raises(ValueError, match=f"face: {i} is not a face of a"):
+        simplex(2).face(SimplexRef(ref), i)
+
+
+@pytest.mark.parametrize("ref,i", [("01", 5), ("01", -1), ("01", 2),
+                                   ("0", 1)])
+def test_degeneracy_refuses_an_index_outside_the_range(ref, i):
+    # a simplex of dimension m has degeneracies 0..m
+    with pytest.raises(ValueError,
+                       match=f"degeneracy: {i} is not a degeneracy of a"):
+        simplex(2).degeneracy(SimplexRef(ref), i)
+
+
 def test_act_takes_the_operators_at_the_edges_of_the_range():
     top, x = SimplexRef("012"), simplex(2)
     assert x.act(top, (0, 1, 2)) == top
