@@ -6,8 +6,9 @@ references.  A face reference names a nondegenerate simplex together with a
 strictly decreasing word of degeneracy indices, which is the unique normal
 form of a possibly-degenerate simplex.  Degeneracies act on words alone
 (`_degenerate`).  Faces are stored, or read off a word by the simplicial
-identities (`FiniteSimplicialSet.face`); `act` takes the faces an operator
-calls for, then its degeneracies, and `_tables` every face of a dimension.
+identities (`FiniteSimplicialSet.face`), which does not recurse; `act`
+takes the faces an operator calls for, then its degeneracies, and
+`_face_index` groups the simplices of one dimension by their faces.
 
 Every hom-set, lift and square comes from one search, `extensions`.  Its
 plan per source object (each generator's dimension and face-key reader) is
@@ -25,7 +26,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 # fixed sizes of the module-level memos, so that none grows without bound:
-# objects and hom-sets are large and few, monotone operators small and many
+# objects and hom-sets are large and few, degeneracy words (the pairs that
+# `_degenerate` composes) small and many
 OBJECT_CACHE_SIZE = 128
 OPERATOR_CACHE_SIZE = 4096
 
@@ -186,7 +188,7 @@ class FiniteSimplicialSet:
         so their concatenation is normal.  ValueError unless ref has
         dimension m >= 1 and 0 <= i <= m."""
         m = self.ref_dim(ref)
-        if not 0 <= i <= m or not m:
+        if m == 0 or not 0 <= i <= m:
             raise ValueError(f"face: {i!r} is not a face of a {m}-simplex")
         word, outer = ref.word, []
         for t, j in enumerate(word):
@@ -566,9 +568,10 @@ def extensions(a, x, pins=None, over=None):
     stack.  The candidates for a generator are the simplices of x whose
     faces are the images already chosen for its faces, looked up in
     `_face_index` by the key that a's `_search_plan` reads off the path;
-    x's tables are fetched once per call and dimension.  The plan saves
-    lookups, never nodes: the nodes, their order and the count returned
-    are those of a search that looks everything up at every node.
+    x's simplices and face index are fetched once per call and dimension.
+    The plan saves lookups, never nodes: the nodes, their order and the
+    count returned are those of a search that looks everything up at every
+    node.
 
     `pins` maps the position of a generator in `a.names()` to pairs
     (word, want) that its image h must satisfy: s_word h == want, which is

@@ -9,7 +9,7 @@ there too.  Every operator goes through `naive_operators.act`.
 
 `_face_index` is the earlier face index, built by `act` from one coface per
 face of every simplex (the earlier `FiniteSimplicialSet.face`, inlined), so
-the oracle does not move with the tables that build the library's index.
+the oracle does not move with the `face` that builds the library's index.
 """
 
 from naive_operators import _coface, _word_to_surj, act

@@ -6,6 +6,7 @@ from ssetkit.core import (
     FiniteSimplicialSet,
     SimplexRef,
     SimplicialMap,
+    _positional,
     boundary,
     boundary_inclusion,
     compose,
@@ -397,3 +398,26 @@ class TestMapErrors:
         g = SimplicialMap(simplex(1), simplex(1), {
             "0": SimplexRef("0"), "1": None, "01": SimplexRef("01")})
         assert g == f
+
+
+def compose_with_a_string_image():
+    # the planted fault: a map built past the constructor's checks with a
+    # str image; compose re-raises the AttributeError it is not about
+    f = _positional(simplex(0), simplex(0), ("0",))
+    compose(identity(simplex(0)), f)
+
+
+CORE_GUARDS = [
+    ("compose-foreign-error", compose_with_a_string_image, AttributeError,
+     "'str' object has no attribute"),
+    ("simplex", lambda: simplex(-1), ValueError, "simplex: n must be >= 0"),
+    ("boundary", lambda: boundary(-1), ValueError,
+     "boundary: n must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("case,exc,match", [g[1:] for g in CORE_GUARDS],
+                         ids=[g[0] for g in CORE_GUARDS])
+def test_every_guard_raises(case, exc, match):
+    with pytest.raises(exc, match=match):
+        case()

@@ -12,7 +12,7 @@ from ssetkit.core import (
     validate,
 )
 from ssetkit.colimits import coproduct
-from ssetkit.cells import j_to_i_presentation, realize
+from ssetkit.cells import StageData, j_to_i_presentation, realize
 from ssetkit.lifting import check_rlp
 from ssetkit.factorization import (
     factorize,
@@ -211,3 +211,80 @@ class TestFunctoriality:
         for k, h in enumerate(maps):
             assert h.source.is_empty
             assert h.target == r2.stages[k].w
+
+
+# ---------------------------------------------------------------------------
+# Every guard of factorize and induced_factorization_map raises; the two
+# that guard against the library's own faults are reached by planted ones
+
+def faithful(f, cap=0, budget=1):
+    return factorize(f, "I", cap=cap, mode="faithful", budget=budget)
+
+
+def point_runs(budget=1, budget2=1, cap2=0):
+    """An identity square on the point insertion and faithful runs of it."""
+    f = point_insertion()
+    return (identity(f.source), identity(f.target), faithful(f, 0, budget),
+            faithful(f, cap2, budget2))
+
+
+def square_that_does_not_commute(mp):
+    # the vertex 0 of the edge, and v moving the edge onto its vertex 1
+    f = SimplicialMap(simplex(0), simplex(1), {"0": SimplexRef("0")})
+    v = SimplicialMap(simplex(1), simplex(1), {
+        "0": SimplexRef("1"), "1": SimplexRef("1"),
+        "01": SimplexRef("1", (0,))})
+    r = faithful(f)
+    induced_factorization_map(identity(simplex(0)), v, r, r)
+
+
+def second_run_without_squares(mp):
+    # the planted fault: the second run's stage lost the squares its cells
+    # were attached for
+    u, v, r, r2 = point_runs()
+    mp.setattr(r2.stages[0], "squares", [])
+    induced_factorization_map(u, v, r, r2)
+
+
+def induced_answers_another_map(mp):
+    # the planted fault: a stage's induced map is some other map, here the
+    # vertex of W_1 sent to the cell of the square over the other point
+    two, injs = coproduct([simplex(0), simplex(0)])
+    r = faithful(point_insertion())
+    r2 = faithful(SimplicialMap(empty_sset(), two, {}))
+    right = StageData.induced
+
+    def planted(stage, cell_maps, from_c):
+        h = right(stage, cell_maps, from_c)
+        return next(m for m in enumerate_maps(h.source, h.target) if m != h)
+
+    mp.setattr(StageData, "induced", planted)
+    induced_factorization_map(identity(empty_sset()), injs[0], r, r2)
+
+
+FACTORIZATION_GUARDS = [
+    ("mode", lambda mp: factorize(point_insertion(), "I", mode="lazy"),
+     ValueError, "unknown mode 'lazy'"),
+    ("budget", lambda mp: factorize(point_insertion(), "I", budget=-1),
+     ValueError, "stage budget must be >= 0"),
+    ("cap-mismatch", lambda mp: induced_factorization_map(
+        *point_runs(cap2=1)), ValueError,
+     "generator family or cap mismatch"),
+    ("square", square_that_does_not_commute, ValueError,
+     "input square does not commute"),
+    ("second-run-shorter", lambda mp: induced_factorization_map(
+        *point_runs(budget=2, budget2=1)), ValueError,
+     "second run stopped before the first"),
+    ("no-cell", second_run_without_squares, RuntimeError,
+     "composed square has no cell in the second run"),
+    ("stagewise", induced_answers_another_map, RuntimeError,
+     "stage 1 does not commute with the projections"),
+]
+
+
+@pytest.mark.parametrize("case,exc,match",
+                         [g[1:] for g in FACTORIZATION_GUARDS],
+                         ids=[g[0] for g in FACTORIZATION_GUARDS])
+def test_every_guard_raises(case, exc, match, monkeypatch):
+    with pytest.raises(exc, match=match):
+        case(monkeypatch)
