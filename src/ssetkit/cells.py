@@ -41,15 +41,17 @@ from ssetkit.core import (
     simplex,
 )
 from ssetkit.colimits import StageRecord, _induced, sequential_colimit
-from ssetkit.lifting import generator
+from ssetkit.lifting import _check_label, generator
 
 
 def _is_generator_source(source, kind, n, k):
     """Whether `source` is the source of the generator (kind, n, k).  The
+    label rule of `lifting` refuses a bad label first (ValueError).  The
     boundary of the n-simplex has dimension n - 1 and 2^(n+1) - 2
     simplices, and a horn one fewer, so any other object is told apart
     before a generator as large as it is built; building the generator
     refuses impossible parameters (ValueError)."""
+    _check_label(kind, k)
     return (source.dim == n - 1
             and source.size() == 2 ** (n + 1) - (2 if kind == "I" else 3)
             and source == generator(kind, n, k).source)
@@ -60,8 +62,8 @@ class Attachment:
     """One cell attachment: a generator (boundary inclusion for kind "I",
     horn inclusion for kind "J") plus the attaching map of its source into
     the current stage, which must be a simplicial map (`map_errors`).  A
-    kind other than "I" or "J", a k with "I" or no k with "J" is refused
-    (ValueError) before any generator is built."""
+    label that `lifting` refuses (a kind other than "I" or "J", a k with "I"
+    or no k with "J") is refused before any generator is built (ValueError)."""
 
     kind: str
     n: int
@@ -69,17 +71,10 @@ class Attachment:
     attaching: SimplicialMap
 
     def __post_init__(self):
-        if self.kind not in ("I", "J"):
-            raise ValueError(f"attachment: unknown generator kind "
-                             f"{self.kind!r}")
-        if self.kind == "J" and self.k is None:
-            raise ValueError("attachment: horn attachment needs k")
-        if self.kind == "I" and self.k is not None:
-            raise ValueError("attachment: boundary attachment takes no k")
         if not _is_generator_source(self.attaching.source, self.kind, self.n,
                                     self.k):
-            raise ValueError("attachment: attaching map source does not match "
-                             f"the declared generator ({self.kind}, n={self.n})")
+            raise ValueError("attachment: attaching map does not start at "
+                             "the declared generator source")
         errors = map_errors(self.attaching)
         if errors:
             raise ValueError("attachment: attaching map is not simplicial: "

@@ -42,7 +42,7 @@ from ssetkit.core import (
     SimplicialMap,
     validate,
 )
-from ssetkit.cells import Attachment, CellPresentation, _is_generator_source
+from ssetkit.cells import Attachment, CellPresentation
 from ssetkit.lifting import generator
 
 NAME_RE = r"[A-Za-z0-9_.]+"
@@ -331,20 +331,9 @@ def parse_cellpres(text):
             stages.append([])
         n = int(n_txt)
         k = int(k_txt) if k_txt is not None else None
-        if kind == "J" and k is None:
-            raise FormatError(no, "horn attachment needs k=")
-        if kind == "I" and k is not None:
-            raise FormatError(no, "boundary attachment takes no k=")
         attaching = doc.map(map_name, no)
-        try:
-            at_source = _is_generator_source(attaching.source, kind, n, k)
-        except ValueError as exc:
-            raise FormatError(no, str(exc)) from exc
-        if not at_source:
-            raise FormatError(no, f"map {map_name!r} does not start at the "
-                              f"declared generator source")
-        # realize checks that the target is the stage attached to, and
-        # Attachment that the map is simplicial, into a valid object
+        # realize checks that the target is the stage attached to; Attachment
+        # the label, the source and a simplicial map into a valid target
         target = attaching.target
         if target not in valid:
             valid[target] = validate(target).ok

@@ -139,15 +139,24 @@ def enumerate_squares(i, f):
 # ---------------------------------------------------------------------------
 # Generator families and right-lifting-property reports
 
+def _check_label(kind, k):
+    """Refuse (ValueError) a label (kind, n, k) that names no generator."""
+    if kind not in ("I", "J"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if kind == "I" and k is not None:
+        raise ValueError("boundary generator takes no k")
+    if kind == "J" and k is None:
+        raise ValueError("horn generator needs k")
+
+
 def generator(kind, n, k=None):
     """The generating cofibration (kind "I": the boundary inclusion into
     the n-simplex) or trivial cofibration (kind "J": the inclusion of the
     (n,k)-horn) with the given parameters."""
+    _check_label(kind, k)
     if kind == "I":
         return boundary_inclusion(n)
-    if kind == "J":
-        return horn_inclusion(n, k)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    return horn_inclusion(n, k)
 
 
 def generator_family(kind, cap):

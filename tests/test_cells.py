@@ -96,13 +96,14 @@ class TestRealize:
     def test_large_generator_against_a_point(self):
         # told apart by the source's dimension, before the boundary of the
         # 40-simplex is built
-        with pytest.raises(ValueError, match="does not match the declared "
-                                             r"generator \(I, n=40\)"):
+        with pytest.raises(ValueError, match="attaching map does not start "
+                                             "at the declared generator "
+                                             "source"):
             Attachment("I", 40, None, identity(simplex(0)))
 
     @pytest.mark.parametrize("kind,n,k,match", [
-        ("J", 2, None, "horn attachment needs k"),
-        ("I", 1, 7, "boundary attachment takes no k"),
+        ("J", 2, None, "horn generator needs k"),
+        ("I", 1, 7, "boundary generator takes no k"),
         ("X", 1, None, "unknown generator kind 'X'")],
         ids=["horn_without_k", "boundary_with_k", "unknown_kind"])
     def test_parameters_that_do_not_fit_the_kind(self, kind, n, k, match):

@@ -233,9 +233,9 @@ class TestCellpresFormat:
 
     @pytest.mark.parametrize("stage_line,message", [
         ("stage=1 gen=J n=2 attach=attach1_0",
-         "line 3: horn attachment needs k="),
+         "line 3: horn generator needs k"),
         ("stage=1 gen=I n=2 k=1 attach=attach1_0",
-         "line 3: boundary attachment takes no k="),
+         "line 3: boundary generator takes no k"),
         ("stage=1 gen=J n=2 k=0 attach=attach1_0",
          "line 3: map 'attach1_0' does not start at the declared generator "
          "source"),

@@ -278,7 +278,7 @@ class TestLiftViaPushout:
         square = LiftingProblem(p.leg_from_c, identity(c),
                                 p.leg_from_c, identity(c))
         degenerate = [m for m in enumerate_maps(simplex(1), c)
-                      if m.images["01"].degenerate]
+                      if m.images["01"].word]
         with pytest.raises(LiftTransferError):
             lift_via_pushout(p, square, degenerate[0])
 
@@ -473,7 +473,7 @@ def pushout_no_cocone():
     # w sends both ends of the edge to one vertex, the top map to two
     p, square = pushout_square()
     w = [m for m in enumerate_maps(simplex(1), p.corner)
-         if m.images["01"].degenerate][0]
+         if m.images["01"].word][0]
     lift_via_pushout(p, square, w)
 
 
@@ -511,6 +511,10 @@ GUARDS = [
         identity(boundary(1))), ValueError, "bottom map endpoints"),
     ("generator-kind", lambda mp: generator("K", 1), ValueError,
      "unknown generator kind 'K'"),
+    ("generator-horn-without-k", lambda mp: generator("J", 2), ValueError,
+     "horn generator needs k"),
+    ("generator-boundary-with-k", lambda mp: generator("I", 1, 7),
+     ValueError, "boundary generator takes no k"),
     ("family-kind", lambda mp: generator_family("K", 1), ValueError,
      "unknown generator family 'K'"),
     ("retract-top", lambda mp: retract(a_out=SimplicialMap(
