@@ -50,10 +50,6 @@ class SimplexRef(NamedTuple):
     base: str
     word: tuple = ()
 
-    @property
-    def degenerate(self):
-        return bool(self.word)
-
     def __repr__(self):
         if not self.word:
             return f"SimplexRef({self.base!r})"
@@ -418,6 +414,9 @@ def validate(s):
             if ok and name not in duplicated and \
                     all(r.base in hereditary for r in refs):
                 hereditary.add(name)
+    # each distinct question (face, i) is answered once per call: faces of
+    # one simplex often coincide, and a degenerate face costs its word
+    face = lru_cache(maxsize=None)(s.face)
     for d in range(2, s.dim + 1):
         for name in s.simplices(d):
             if name not in hereditary:
@@ -425,8 +424,8 @@ def validate(s):
             refs = s._faces[name]
             for j in range(1, d + 1):
                 for i in range(j):
-                    lhs = s.face(refs[j], i)
-                    rhs = s.face(refs[i], j - 1)
+                    lhs = face(refs[j], i)
+                    rhs = face(refs[i], j - 1)
                     if lhs != rhs:
                         issues.append(
                             f"{name}: identity face_{i} face_{j} != "

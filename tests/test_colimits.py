@@ -130,7 +130,7 @@ class TestPushout:
         collapse = edge_collapse()
         p = pushout(identity(simplex(1)), collapse)
         assert p.corner.size() == 1
-        assert p.leg_from_b.images["01"].degenerate
+        assert p.leg_from_b.images["01"].word
 
     def test_horn_filling_pushout(self):
         # gluing the full 2-simplex onto its own horn recovers the simplex

@@ -131,6 +131,23 @@ class TestValidate:
     def test_circle_is_valid(self):
         assert validate(circle()).ok
 
+    def test_each_face_question_is_answered_once(self, monkeypatch):
+        # the one-vertex 30-sphere: its 31 faces are all s_28...s_0 v, so
+        # the n(n + 1) = 930 sides of its identities ask 30 questions
+        n = 30
+        deg = SimplexRef("v", tuple(range(n - 2, -1, -1)))
+        s = FiniteSimplicialSet({0: ["v"], n: ["x"]}, {"x": [deg] * (n + 1)})
+        calls = []
+        face = FiniteSimplicialSet.face
+
+        def counted(self, ref, i):
+            calls.append((ref, i))
+            return face(self, ref, i)
+
+        monkeypatch.setattr(FiniteSimplicialSet, "face", counted)
+        assert validate(s).ok
+        assert len(calls) == n
+
     def test_deeply_broken_structure_reported_not_crashed(self):
         s = FiniteSimplicialSet(
             {0: ["a", "b", "c"], 1: ["ab", "bc", "ac"], 2: ["t"]},
@@ -253,7 +270,7 @@ class TestEnumerateMaps:
         # the loop must land on a degenerate edge: one map per vertex
         assert len(maps) == 2
         for f in maps:
-            assert f.images["e"].degenerate
+            assert f.images["e"].word
 
 
 class TestComposeIdentity:
