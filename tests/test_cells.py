@@ -333,3 +333,55 @@ class TestJToI:
         inv = _check_iso(h)
         assert compose(inv, h) == identity(res.final)
         assert compose(h, inv) == identity(renamed)
+
+
+def unchecked(kind, n, k, attaching):
+    """An `Attachment` that skipped `__post_init__`, as no caller can build
+    one."""
+    att = object.__new__(Attachment)
+    for name, value in zip(("kind", "n", "k", "attaching"),
+                           (kind, n, k, attaching)):
+        object.__setattr__(att, name, value)
+    return att
+
+
+def unchecked_image_outside_the_stage(mp):
+    # the planted fault: an attachment whose checks were skipped sends a
+    # vertex of the edge's boundary to a name the stage does not have
+    realize(CellPresentation(simplex(0), ((unchecked(
+        "I", 1, None, SimplicialMap(boundary(1), simplex(0), {
+            "0": SimplexRef("0"), "1": SimplexRef("zz")})),),)))
+
+
+def recovery_answers_another_map(mp):
+    # the planted fault: the composite through the stage is some other map
+    res = build_circle().realized()
+    probe = SimplicialMap(simplex(0), res.final,
+                          {"0": SimplexRef(res.final.simplices(0)[0])})
+    mp.setattr("ssetkit.cells.compose", lambda f, g: identity(f.target))
+    factor_through_stage(res, probe)
+
+
+CELLS_GUARDS = [
+    ("attach-without-map", lambda mp: PresentationBuilder(
+        simplex(0)).attach("I", 0), ValueError,
+     "an attaching map is required"),
+    ("realized-while-open", lambda mp: PresentationBuilder(
+        empty_sset()).attach("I", 0, attaching=empty_map(
+            empty_sset())).realized(), ValueError,
+     "close the open stage first"),
+    ("image-outside-the-stage", unchecked_image_outside_the_stage,
+     ValueError, "'zz', which is not a simplex of the previous stage"),
+    ("factor-not-into-final", lambda mp: factor_through_stage(
+        build_circle().realized(), identity(simplex(0))), ValueError,
+     "does not land in the final stage"),
+    ("recovery", recovery_answers_another_map, RuntimeError,
+     "recovery check failed"),
+]
+
+
+@pytest.mark.parametrize("case,exc,match", [g[1:] for g in CELLS_GUARDS],
+                         ids=[g[0] for g in CELLS_GUARDS])
+def test_every_guard_raises(case, exc, match, monkeypatch):
+    with pytest.raises(exc, match=match):
+        case(monkeypatch)

@@ -332,3 +332,37 @@ class TestSequentialColimit:
         bad = SimplicialMap(point, edge, {"p": SimplexRef("e")})
         with pytest.raises(ValueError, match="stage 1 map sends p to e"):
             sequential_colimit([inc0, bad])
+
+
+def vertex_of_edge():
+    return SimplicialMap(simplex(0), simplex(1), {"0": SimplexRef("0")})
+
+
+COLIMITS_GUARDS = [
+    ("coproduct-no-maps", lambda: coproduct_induced(
+        *coproduct([simplex(0)]), []), ValueError,
+     "no maps for nonempty coproduct"),
+    ("coproduct-empty-family", lambda: coproduct_induced(
+        *coproduct([]), []), ValueError,
+     "empty family needs explicit target"),
+    ("coproduct-targets", lambda: coproduct_induced(
+        *coproduct([simplex(0), simplex(0)]),
+        [identity(simplex(0)), vertex_of_edge()]), ValueError,
+     "targets disagree"),
+    ("pushout-targets", lambda: pushout_induced(
+        pushout(identity(simplex(0)), identity(simplex(0))),
+        identity(simplex(0)), vertex_of_edge()), ValueError,
+     "cocone targets disagree"),
+    ("sequential-no-base", lambda: sequential_colimit([]), ValueError,
+     "need at least a base object"),
+    ("sequential-chain", lambda: sequential_colimit(
+        [boundary_inclusion(1), boundary_inclusion(1)]), ValueError,
+     "stage 1 source does not match previous target"),
+]
+
+
+@pytest.mark.parametrize("case,exc,match", [g[1:] for g in COLIMITS_GUARDS],
+                         ids=[g[0] for g in COLIMITS_GUARDS])
+def test_every_guard_raises(case, exc, match):
+    with pytest.raises(exc, match=match):
+        case()

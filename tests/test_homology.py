@@ -675,3 +675,31 @@ class TestClearingHappens:
         # d(t) = e and d(e) = a: boundary squared is a, not 0
         with pytest.raises(ValueError, match="nonzero in degree 2"):
             ChainComplex([["a"], ["e"], ["t"]], {1: [{0: 1}], 2: [{0: 1}]})
+
+
+def component_map_not_well_defined():
+    # the planted fault: a map that is not simplicial sends the two ends of
+    # the edge to two points, so its component map is not well defined
+    two = FiniteSimplicialSet({0: ["a", "b"]})
+    weak_equivalence_certificate(SimplicialMap(simplex(1), two, {
+        "0": SimplexRef("a"), "1": SimplexRef("b"),
+        "01": SimplexRef("a", (0,))}))
+
+
+HOMOLOGY_GUARDS = [
+    ("torsion-chain", lambda: HomologyGroup(0, (2, 3)), ValueError,
+     "must form a divisibility chain"),
+    ("torsion-unit", lambda: HomologyGroup(0, (1,)), ValueError,
+     "must be >= 2"),
+    ("degree", lambda: homology(circle(), -1), ValueError,
+     "degree must be >= 0"),
+    ("components", component_map_not_well_defined, RuntimeError,
+     "component map is not well defined"),
+]
+
+
+@pytest.mark.parametrize("case,exc,match", [g[1:] for g in HOMOLOGY_GUARDS],
+                         ids=[g[0] for g in HOMOLOGY_GUARDS])
+def test_every_guard_raises(case, exc, match):
+    with pytest.raises(exc, match=match):
+        case()
