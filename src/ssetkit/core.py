@@ -414,18 +414,22 @@ def validate(s):
             if ok and name not in duplicated and \
                     all(r.base in hereditary for r in refs):
                 hereditary.add(name)
-    # each distinct question (face, i) is answered once per call: faces of
-    # one simplex often coincide, and a degenerate face costs its word
-    face = lru_cache(maxsize=None)(s.face)
+    # the faces of each distinct face are read once per call: faces of one
+    # simplex often coincide, and a degenerate face costs its word
+    rows = {}
     for d in range(2, s.dim + 1):
         for name in s.simplices(d):
             if name not in hereditary:
                 continue
-            refs = s._faces[name]
+            faces = []
+            for r in s._faces[name]:
+                if r not in rows:
+                    rows[r] = [s.face(r, i) for i in range(d)]
+                faces.append(rows[r])
             for j in range(1, d + 1):
                 for i in range(j):
-                    lhs = face(refs[j], i)
-                    rhs = face(refs[i], j - 1)
+                    lhs = faces[j][i]
+                    rhs = faces[i][j - 1]
                     if lhs != rhs:
                         issues.append(
                             f"{name}: identity face_{i} face_{j} != "

@@ -140,7 +140,7 @@ def enumerate_squares(i, f):
 # Generator families and right-lifting-property reports
 
 def _check_label(kind, k):
-    """Refuse (ValueError) a label (kind, n, k) that names no generator."""
+    """Refuse (ValueError) an unknown kind, or a k that does not fit it."""
     if kind not in ("I", "J"):
         raise ValueError(f"unknown generator kind {kind!r}")
     if kind == "I" and k is not None:
