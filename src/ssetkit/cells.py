@@ -51,7 +51,7 @@ def _is_generator_source(source, kind, n, k):
     simplices, and a horn one fewer, so any other object is told apart
     before a generator as large as it is built; building the generator
     refuses impossible parameters (ValueError)."""
-    _check_label(kind, k)
+    _check_label(kind, n, k)
     return (source.dim == n - 1
             and source.size() == 2 ** (n + 1) - (2 if kind == "I" else 3)
             and source == generator(kind, n, k).source)
@@ -62,8 +62,9 @@ class Attachment:
     """One cell attachment: a generator (boundary inclusion for kind "I",
     horn inclusion for kind "J") plus the attaching map of its source into
     the current stage, which must be a simplicial map (`map_errors`).  A
-    label that `lifting` refuses (a kind other than "I" or "J", a k with "I"
-    or no k with "J") is refused before any generator is built (ValueError)."""
+    label that `lifting` refuses (a kind other than "I" or "J", an n or k
+    that is not an int, a k with "I" or no k with "J") is refused before any
+    generator is built (ValueError)."""
 
     kind: str
     n: int
@@ -127,6 +128,17 @@ class StageData:
         return _induced(self.inclusion.target,
                         [self.inclusion, *self.char_maps],
                         [from_c, *cell_maps], "induced")
+
+    def _push(self, m):
+        """m followed by the inclusion, `compose(inclusion, m)`, for a map m
+        in normal form.  `_attach` builds every inclusion as a name
+        inclusion, so this is m's image tuple read in the new stage: O(1)
+        after the endpoint check, which raises compose's ValueError."""
+        inc = self.inclusion
+        if m.target != inc.source:
+            raise ValueError("compose: target of first map != source of "
+                             "second")
+        return _positional(m.source, inc.target, m.img)
 
 
 class RealizeResult(StageRecord):

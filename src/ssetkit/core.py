@@ -309,9 +309,16 @@ def map_errors(f):
     """Defects of a map, as human-readable strings: missing images, images
     that are not simplices of the target in normal form, and face
     incompatibilities.  Empty iff f is a genuine simplicial map (assuming
-    valid endpoints)."""
+    valid endpoints).
+
+    When the target's face index of a generator's dimension is already in
+    its memo, the generator's image is looked up there by the images of
+    its faces, one lookup for all d+1 faces; without the index, or when the
+    lookup fails, the faces are compared one by one, which words each
+    issue.  No index is built here."""
     issues = []
     src, tgt = f.source, f.target
+    memo = tgt._memo
     bad = set()   # generators whose faces cannot be compared
     for name, img in zip(src.names(), f.img):
         d = src.dim_of(name)
@@ -322,7 +329,7 @@ def map_errors(f):
                      "simplex of the target")
         elif tgt.ref_dim(img) != d:
             issue = f"image of {name} has wrong dimension"
-        elif not word_valid(img.word, d):
+        elif img.word and not word_valid(img.word, d):
             issue = (f"image of {name}: degeneracy word {img.word} is not "
                      "in normal form")
         else:
@@ -333,8 +340,13 @@ def map_errors(f):
             continue
         if d == 0 or any(r.base in bad for r in src.faces_of(name)):
             continue
+        faces = src.faces_of(name)
+        index = memo.get(("faces", d))
+        if index is not None and img in index.get(
+                tuple([f(r) for r in faces]), ()):
+            continue
         for i in range(d + 1):
-            want = f(src.faces_of(name)[i])
+            want = f(faces[i])
             got = tgt.face(img, i)
             if want != got:
                 issues.append(f"face {i} of {name}: image {got} != {want}")

@@ -17,19 +17,30 @@ factor, whose witness hook gives a square at round k >= 1 the witness of
 the previous round's square with the same (generator, top, bottom) key, so
 no square whose top lies in the previous stage is searched again.  Each
 witness is a diagonal: the lift found or carried over, or the
-characteristic map of the square's cell.  The verifier has one rule for
-every stage: a witness that passes `verify_lift` settles its square; one
-without a witness, or with a wrong one, is searched.  Its final pass is
-`check_rlp` on the right factor with the recorded witnesses, so
-completeness never rests on the producer (the certifying-algorithm pattern:
-the checker checks certificates and never trusts the producer's verdicts).
-`verify_factorization` is the verifier's one entry point: its residual,
-early-top and lifting-property checks all read that single pass.
+characteristic map of the square's cell.  Every stage keeps the names of
+the one before, so a carried witness is pushed into the next stage by name
+(`StageData._push`), and a top seen at an earlier round takes the bottoms
+found for it then from a table kept for the run: p_{k+1} restricts to p_k,
+so p_{k+1} . top = p_k . top.
+
+The verifier has one rule for every stage: a witness that passes
+`verify_lift` settles its square; one without a witness, or with a wrong
+one, is searched.  Once it has checked that each stage sits in the next by
+name over the same projection (`_stable`), it pushes tops by name and
+verifies each witness once: a later square with the generator, top, bottom
+and witness images of one that passed is settled.  Its final pass is
+`check_rlp` on the right factor with the recorded witnesses, which
+enumerates the final squares afresh and never sees the run's table of
+bottoms, so completeness never rests on the producer (the
+certifying-algorithm pattern: the checker checks certificates and never
+trusts the producer's verdicts).  `verify_factorization` is the verifier's
+one entry point: its residual, early-top and lifting-property checks all
+read that single pass.
 """
 
 from itertools import count
 
-from ssetkit.core import ValidationReport, compose
+from ssetkit.core import SimplexRef, ValidationReport, compose
 from ssetkit.cells import PresentationBuilder, realize
 from ssetkit.lifting import (
     Lift,
@@ -118,17 +129,18 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
     builder = PresentationBuilder(f.source)
     p_k = f
     stages = []
+    carried = {}    # per label, each top seen so far: its bottoms
 
     while True:
         last = len(stages) >= budget
-        carried = _witness_index(stages[-1]) if stages else {}
+        previous = _witness_index(stages[-1]) if stages else {}
 
         def witness(label, sq):
             if mode == "faithful" and not last:
                 return False    # every square gets a cell, its witness
-            return carried.get((label, sq.top.img, sq.bottom.img))
+            return previous.get((label, sq.top.img, sq.bottom.img))
 
-        entries = check_rlp(p_k, kind, cap, witness).entries
+        entries = check_rlp(p_k, kind, cap, witness, carried).entries
         squares = [(label, sq) for label, sq, _ in entries]
         diagonals = [d for _, _, d in entries]
         unlifted = [idx for idx, d in enumerate(diagonals) if d is None]
@@ -145,8 +157,7 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
             builder.attach(*label, attaching=sq.top)
         stage = builder.close_stage()
         chars = dict(zip(pending, stage.char_maps))
-        witnesses = [chars[idx] if idx in chars
-                     else compose(stage.inclusion, d)
+        witnesses = [chars[idx] if idx in chars else stage._push(d)
                      for idx, d in enumerate(diagonals)]
         stages.append(FactorStage(p_k, squares, pending, witnesses))
         p_k = stage.induced([squares[idx][1].bottom for idx in pending], p_k)
@@ -162,6 +173,31 @@ def factorize(f, kind, cap=3, mode="reduced", budget=5):
 # ---------------------------------------------------------------------------
 # Verification
 
+def _stable(result):
+    """Whether each stage sits in the next by name, with p_{k+1} . inclusion
+    == p_k, and the right factor is the last projection.  Then a witness
+    that lifts a square at one stage lifts every later square with the same
+    generator and the same top, bottom and witness images: each of them is
+    read by name, and the projections agree on the names they share.
+    Endpoints are compared first, so a result that does not fit gives
+    False, never an exception."""
+    stages, data = result.stages, result.realization.stage_data
+    if len(data) < len(stages) - 1 or result.right != stages[-1].p:
+        return False
+    for stage, after, closed in zip(stages, stages[1:], data):
+        inc, p, p_next = closed.inclusion, stage.p, after.p
+        if (inc.source, inc.target, p.target) != \
+                (p.source, p_next.source, p_next.target):
+            return False
+        names, pos = tuple(inc.source.names()), inc.target._pos
+        if inc.img != tuple(map(SimplexRef, names)) or \
+                not all(n in pos for n in names):
+            return False
+        if tuple([p_next.img[pos[n]] for n in names]) != p.img:
+            return False
+    return True
+
+
 def _checks(result):
     """The verifier's one pass.  A square of a stage followed by an
     attachment round must lift through the next stage; the final squares
@@ -169,25 +205,47 @@ def _checks(result):
     witnesses.  A square whose witness is a lift is settled; one with no
     witness, or a wrong one, is searched.  Returns the (stage, square index)
     pairs with a wrong witness and those that do not lift, and the final
-    entries (label, square, diagonal or None)."""
+    entries (label, square, diagonal or None).
+
+    On a run whose stages pass `_stable`, tops are pushed by name and each
+    witness is verified once: a later square with the key of one that
+    passed `verify_lift` is settled once its endpoints fit.  Otherwise
+    every witness is verified and every top pushed by `compose`."""
     stages, last = result.stages, len(result.stages) - 1
     wrong, failures, position = [], [], count()
+    # (generator, top, bottom, witness) images of the witnesses that passed
+    passed = set() if last > 0 and _stable(result) else None
+
+    def lifts(sq, w):
+        if passed is None:
+            return verify_lift(sq, w)
+        i, right = sq.left, sq.right
+        key = (i, sq.top.img, sq.bottom.img, w.img)
+        if key in passed and (sq.top.source, sq.top.target, sq.bottom.source,
+                              sq.bottom.target) == (i.source, right.source,
+                                                    i.target, right.target):
+            return True
+        if verify_lift(sq, w):
+            passed.add(key)
+            return True
+        return False
 
     def checked(k, idx, sq, w):
         # w if it lifts sq, else None; a w that does not is wrong
         if w is None or (w.source == sq.left.target and w.target ==
-                         sq.right.source and verify_lift(sq, w)):
+                         sq.right.source and lifts(sq, w)):
             return w
         wrong.append((k, idx))
         return None
 
     for k, stage in enumerate(stages[:-1]):
-        inc = result.realization.stage_data[k].inclusion
+        closed = result.realization.stage_data[k]
         for idx, ((_, sq), w) in enumerate(zip(stage.squares,
                                                stage.witnesses)):
+            top = (compose(closed.inclusion, sq.top) if passed is None
+                   else closed._push(sq.top))
             # a lift makes the pushed square commute, so it needs no check
-            pushed = _commuting(sq.left, stages[k + 1].p,
-                                compose(inc, sq.top), sq.bottom)
+            pushed = _commuting(sq.left, stages[k + 1].p, top, sq.bottom)
             # a pushed square that does not commute has no lift
             if checked(k, idx, pushed, w) is None and \
                     not isinstance(solve_lift(pushed), Lift):

@@ -7,7 +7,8 @@ map and lying over the bottom map: the lexicographically least diagonal.
 When there is none, the exhausted search is the certificate, counted in
 refuted candidates.  `enumerate_squares` takes, for each top A -> X, the
 extensions B -> Y pinned on i(A) by f . top: the bottoms closing a square,
-searched once per distinct f . top.  `check_rlp` decides each generator
+searched once per distinct f . top, or once per run for a top that a
+factorization saw at an earlier round.  `check_rlp` decides each generator
 square of a map and keeps its diagonal; factorization reads it too.
 """
 
@@ -109,29 +110,39 @@ def _commuting(i, f, top, bottom):
     """The square (i, f, top, bottom) without the checks of
     `LiftingProblem`, for a caller that has made them."""
     square = object.__new__(LiftingProblem)
-    for name, value in zip(("left", "right", "top", "bottom"),
-                           (i, f, top, bottom)):
-        object.__setattr__(square, name, value)
+    square.__dict__.update(left=i, right=f, top=top, bottom=bottom)
     return square
 
 
-def enumerate_squares(i, f):
+def enumerate_squares(i, f, carried=None):
     """All commuting squares with left leg i and right leg f, ordered by
     (top index, bottom index) in the hom-set enumerations.  The bottoms
     depend on a top only through f . top, so they are searched, and checked
-    to commute, once per distinct f . top."""
+    to commute, once per distinct f . top.
+
+    The internal table `carried` maps a top's image tuple to its bottoms.
+    A top found there takes them without the composite, the search or the
+    check; every other top's bottoms are stored in it.  `factorize` keeps
+    one table per generator for a whole run, which is sound because names
+    are stable: each stage W_k sits in W_{k+1} by name, and
+    `StageData.induced` re-verifies that p_{k+1} restricts to p_k there, so
+    p_{k+1} . top = p_k . top for a top seen at round k."""
     out = []
     bottoms = {}
     for top in enumerate_maps(i.source, f.source):
-        wants = compose(f, top)
-        found = bottoms.get(wants.img)
+        found = carried.get(top.img) if carried is not None else None
         if found is None:
-            found = bottoms[wants.img] = tuple(
-                extensions(i.target, f.target, _pins(i, wants.img)))
-            for bottom in found:
-                if not _restricts_to(bottom, i, wants):
-                    raise ValueError("lifting problem: square does not "
-                                     "commute")
+            wants = compose(f, top)
+            found = bottoms.get(wants.img)
+            if found is None:
+                found = bottoms[wants.img] = tuple(
+                    extensions(i.target, f.target, _pins(i, wants.img)))
+                for bottom in found:
+                    if not _restricts_to(bottom, i, wants):
+                        raise ValueError("lifting problem: square does not "
+                                         "commute")
+            if carried is not None:
+                carried[top.img] = found
         out.extend(_commuting(i, f, top, bottom) for bottom in found)
     return out
 
@@ -139,21 +150,30 @@ def enumerate_squares(i, f):
 # ---------------------------------------------------------------------------
 # Generator families and right-lifting-property reports
 
-def _check_label(kind, k):
-    """Refuse (ValueError) an unknown kind, or a k that does not fit it."""
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_label(kind, n, k):
+    """Refuse (ValueError) an unknown kind, an n that is not an int, or a k
+    that does not fit the kind; a bool is not taken for an int."""
     if kind not in ("I", "J"):
         raise ValueError(f"unknown generator kind {kind!r}")
+    if not _is_int(n):
+        raise ValueError(f"generator dimension {n!r} is not an integer")
     if kind == "I" and k is not None:
         raise ValueError("boundary generator takes no k")
     if kind == "J" and k is None:
         raise ValueError("horn generator needs k")
+    if kind == "J" and not _is_int(k):
+        raise ValueError(f"horn index {k!r} is not an integer")
 
 
 def generator(kind, n, k=None):
     """The generating cofibration (kind "I": the boundary inclusion into
     the n-simplex) or trivial cofibration (kind "J": the inclusion of the
     (n,k)-horn) with the given parameters."""
-    _check_label(kind, k)
+    _check_label(kind, n, k)
     if kind == "I":
         return boundary_inclusion(n)
     return horn_inclusion(n, k)
@@ -197,15 +217,18 @@ class RLPReport:
         return out
 
 
-def check_rlp(f, kind, cap, witness=None):
+def check_rlp(f, kind, cap, witness=None, carried=None):
     """Solve every generator square against f, up to the dimension cap.
     A full pass against "J" is this library's notion of a fibration; a full
     pass against "I" certifies trivial-fibration behavior.  The internal
     hook `witness(label, square)` returns a diagonal to keep, None to search
-    for the least lift, or False to leave the square undecided."""
+    for the least lift, or False to leave the square undecided.  The
+    internal table `carried` holds one table of bottoms per generator label
+    for `enumerate_squares`, filled in as the squares are found."""
     entries = []
     for label, gen in generator_family(kind, cap):
-        for square in enumerate_squares(gen, f):
+        tops = carried.setdefault(label, {}) if carried is not None else None
+        for square in enumerate_squares(gen, f, tops):
             diagonal = witness(label, square) if witness else None
             if diagonal is None:
                 found = solve_lift(square)

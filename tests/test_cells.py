@@ -115,6 +115,21 @@ class TestRealize:
         with pytest.raises(ValueError, match=match):
             b.close_stage()
 
+    @pytest.mark.parametrize("kind,n,k,source,match", [
+        ("I", 1.0, None, boundary(1), "dimension 1.0 is not an integer"),
+        ("J", 2, 1.0, horn(2, 1), "horn index 1.0 is not an integer"),
+        ("J", True, 0, horn(1, 0), "dimension True is not an integer"),
+        ("J", 1, False, horn(1, 0), "horn index False is not an integer")],
+        ids=["float_n", "float_k", "bool_n", "bool_k"])
+    def test_parameters_that_are_not_integers(self, kind, n, k, source,
+                                              match):
+        # the source has the dimension and size of the generator source, so
+        # only the label rule tells these apart (bool_n was once taken for
+        # the horn of the 1-simplex)
+        attaching = enumerate_maps(source, simplex(0))[0]
+        with pytest.raises(ValueError, match=match):
+            Attachment(kind, n, k, attaching)
+
     def test_realize_matches_builder(self):
         b = build_circle()
         pres = b.presentation()
@@ -377,6 +392,9 @@ CELLS_GUARDS = [
      "does not land in the final stage"),
     ("recovery", recovery_answers_another_map, RuntimeError,
      "recovery check failed"),
+    ("push-not-into-the-stage", lambda mp: build_circle().stage_data[
+        -1]._push(identity(simplex(1))), ValueError,
+     "compose: target of first map != source of second"),
 ]
 
 

@@ -324,6 +324,32 @@ map g : A -> P
         assert captured.out == ""
         assert "attached-cell names collide" in captured.err
 
+    # two points, the interval, the inclusion of its ends, the identities,
+    # the end map sending both ends to 1, the constant map at 0
+    ENDS = ("sset/1\n\nobject B\n  dim 0: 0 1\n\n"
+            "object D\n  dim 0: 0 1\n  dim 1: 01\n  faces 01: 1 0\n\n"
+            "map inc : B -> D\n  0 -> 0\n  1 -> 1\n\n"
+            "map idB : B -> B\n  0 -> 0\n  1 -> 1\n\n"
+            "map idD : D -> D\n  0 -> 0\n  1 -> 1\n  01 -> 01\n\n"
+            "map high : B -> D\n  0 -> 1\n  1 -> 1\n\n"
+            "map low : D -> D\n  0 -> 0\n  1 -> 0\n  01 -> s[0]·0\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["pushout", "--i", "inc", "--g", "idD"],
+         "the two maps must share a source"),
+        (["lift", "--left", "inc", "--right", "idD", "--top", "high",
+          "--bottom", "idD"], "lifting problem: square does not commute"),
+        (["functorial", "--map", "inc", "--map2", "inc", "--top", "idB",
+          "--bottom", "low", "--gen", "I", "--cap", "0"],
+         "the square (top, bottom) does not commute with the two maps"),
+    ], ids=["pushout-sources", "lift-square", "functorial-square"])
+    def test_maps_that_do_not_fit_are_input_errors(self, tmp_path, capsys,
+                                                   argv, message):
+        doc = tmp_path / "ends.sset"
+        doc.write_text(self.ENDS, encoding="utf-8")
+        self.assert_input_error(capsys, [argv[0], str(doc), *argv[1:]],
+                                message)
+
 
 class TestParserReuse:
     CALLS = [

@@ -295,3 +295,32 @@ class TestSoaFormat:
         body = "\n".join(text.splitlines()[2:]) + "\n"
         parsed, _ = parse_cellpres(body)
         assert parsed == r.presentation
+
+
+def document_with_a_stray_map():
+    # a map whose objects the document neither holds nor declares
+    doc = Document()
+    doc.maps["f"] = identity(simplex(0))
+    return print_document(doc)
+
+
+FORMATS_GUARDS = [
+    ("duplicate-map", lambda: parse_document(
+        SAMPLE + "\nmap collapse : A -> P\n  x -> p\n"), FormatError,
+     "line 16: duplicate map 'collapse'"),
+    ("image-of-a-non-simplex", lambda: parse_document(
+        SAMPLE.replace("  x -> p", "  zz -> p")), FormatError,
+     "line 12: 'zz' is not a simplex of the source object"),
+    ("print-map-without-its-objects", document_with_a_stray_map, ValueError,
+     "map 'f' references an object missing from the document"),
+    ("duplicate-base-line", lambda: parse_cellpres(
+        "cellpres/1\nbase base\nbase base\nsset/1\n\nobject base\n"),
+     FormatError, "line 3: duplicate base line"),
+]
+
+
+@pytest.mark.parametrize("case,exc,match", [g[1:] for g in FORMATS_GUARDS],
+                         ids=[g[0] for g in FORMATS_GUARDS])
+def test_every_guard_raises(case, exc, match):
+    with pytest.raises(exc, match=match):
+        case()

@@ -515,6 +515,14 @@ GUARDS = [
      "horn generator needs k"),
     ("generator-boundary-with-k", lambda mp: generator("I", 1, 7),
      ValueError, "boundary generator takes no k"),
+    ("generator-float-n", lambda mp: generator("I", 2.0), ValueError,
+     r"generator dimension 2\.0 is not an integer"),
+    ("generator-float-k", lambda mp: generator("J", 2, 1.0), ValueError,
+     r"horn index 1\.0 is not an integer"),
+    ("generator-bool-n", lambda mp: generator("J", True, 0), ValueError,
+     "generator dimension True is not an integer"),
+    ("generator-bool-k", lambda mp: generator("J", 1, False), ValueError,
+     "horn index False is not an integer"),
     ("family-kind", lambda mp: generator_family("K", 1), ValueError,
      "unknown generator family 'K'"),
     ("retract-top", lambda mp: retract(a_out=SimplicialMap(

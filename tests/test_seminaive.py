@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_factorization as naive
-from instances import TINY_POOL, circle
+from instances import SMALL_POOL, TINY_POOL, circle
 from test_acceptance import _factorization_corpus
 from test_search import right_maps
 from ssetkit import cells, factorization, formats, lifting
@@ -20,14 +20,20 @@ from ssetkit.cells import (
     realize,
 )
 from ssetkit.core import (
+    FiniteSimplicialSet,
     SimplexRef,
     SimplicialMap,
+    _face_index,
+    _positional,
     boundary,
     boundary_inclusion,
     compose,
     empty_sset,
     enumerate_maps,
+    enumerate_simplices,
+    horn,
     identity,
+    map_errors,
     simplex,
 )
 from ssetkit.factorization import (
@@ -523,3 +529,258 @@ class TestAttachingMaps:
         realize(pres)
         formats.print_cellpres(pres)
         assert len(checked) == 1
+
+
+# ---------------------------------------------------------------------------
+# What the stage inclusion carries: tops and witnesses pushed by name, a
+# top's bottoms kept for the run, each witness verified once.  `compose`,
+# `enumerate_squares` without a table and `verify_lift` on every witness
+# are the oracles.
+
+def carrying_runs():
+    return multi_round_runs() + [circle_run(), residual_run()]
+
+
+class TestPushByName:
+    def test_push_is_the_composite_on_every_stage(self):
+        pushed = 0
+        for r in _factorization_corpus() + carrying_runs():
+            for k, closed in enumerate(r.realization.stage_data):
+                # maps into W_k: its identity, the tops of round k and the
+                # witnesses of round k - 1
+                maps = [identity(r.stages[k].w)]
+                maps += [sq.top for _, sq in r.stages[k].squares]
+                if k:
+                    maps += [w for w in r.stages[k - 1].witnesses if w]
+                for m in maps:
+                    assert closed._push(m) == compose(closed.inclusion, m)
+                pushed += len(maps)
+        assert pushed > 500
+
+
+def verified(monkeypatch):
+    """The squares and witnesses the verifier hands to `verify_lift`."""
+    calls = []
+    real = factorization.verify_lift
+
+    def counted(problem, diagonal):
+        calls.append((problem, diagonal))
+        return real(problem, diagonal)
+
+    monkeypatch.setattr(factorization, "verify_lift", counted)
+    return calls
+
+
+class TestCarriedBottoms:
+    def test_squares_with_the_table_are_the_squares_without(self):
+        for r in carrying_runs():
+            tables = {}
+            for stage in r.stages:
+                family = generator_family(r.kind, r.cap)
+                got = [(label, sq) for label, gen in family
+                       for sq in enumerate_squares(
+                           gen, stage.p, tables.setdefault(label, {}))]
+                want = [(label, sq) for label, gen in family
+                        for sq in enumerate_squares(gen, stage.p)]
+                assert got == want == stage.squares
+
+    def test_only_tops_not_seen_before_are_composed_and_searched(
+            self, monkeypatch):
+        r = circle_run()
+        real_compose, real_extensions = lifting.compose, lifting.extensions
+        composed, searched = [], []
+        monkeypatch.setattr(lifting, "compose", lambda g, f: (
+            composed.append(f), real_compose(g, f))[1])
+        monkeypatch.setattr(
+            lifting, "extensions", lambda a, x, pins=None, over=None: (
+                searched.append(pins), real_extensions(a, x, pins, over))[1])
+        tables, seen, skipped = {}, {}, 0
+        for stage in r.stages:
+            for label, gen in generator_family(r.kind, r.cap):
+                tops = enumerate_maps(gen.source, stage.w)
+                old = seen.setdefault(label, set())
+                new = [top for top in tops if top.img not in old]
+                composed.clear()
+                searched.clear()
+                enumerate_squares(gen, stage.p, tables.setdefault(label, {}))
+                assert composed == new
+                # one search per distinct f . top among the new tops
+                assert len(searched) == len(
+                    {real_compose(stage.p, top).img for top in new})
+                skipped += len(tops) - len(new)
+                old.update(top.img for top in tops)
+        assert skipped > 0
+
+    def test_the_verifier_never_reads_the_producers_table(self, monkeypatch):
+        tables = []
+        real = lifting.enumerate_squares
+
+        def spy(i, f, carried=None):
+            tables.append(carried)
+            return real(i, f, carried)
+
+        monkeypatch.setattr(lifting, "enumerate_squares", spy)
+        r = circle_run()
+        assert tables and all(t is not None for t in tables)
+        tables.clear()
+        assert verify_factorization(r).ok
+        assert tables and all(t is None for t in tables)
+
+
+def witness_keys(r):
+    return {(sq.left, sq.top.img, sq.bottom.img, w.img)
+            for stage in r.stages
+            for (_, sq), w in zip(stage.squares, stage.witnesses)
+            if w is not None}
+
+
+def witness_count(r):
+    return sum(w is not None for stage in r.stages for w in stage.witnesses)
+
+
+def bottom_elsewhere():
+    """A square of stage 1 whose key stage 0 verified, its bottom now into
+    an object with one more vertex: same images, so only the endpoint check
+    tells it apart."""
+    r = circle_run()
+    keys = {key(label, sq) for label, sq in r.stages[0].squares}
+    s = r.stages[1]
+    j = next(idx for idx, (label, sq) in enumerate(s.squares)
+             if key(label, sq) in keys)
+    label, sq = s.squares[j]
+    wider = FiniteSimplicialSet({0: ["0", "1"]})
+    squares = list(s.squares)
+    squares[j] = label, lifting._commuting(sq.left, sq.right, sq.top,
+                                           _positional(sq.bottom.source,
+                                                       wider, sq.bottom.img))
+    stage = FactorStage(s.p, squares, s.attached, s.witnesses)
+    bad = mutated(r, stages=[r.stages[0], stage, *r.stages[2:]])
+    assert verify_factorization(bad).issues == [
+        f"stage 1: square #{j} has a witness that is not a lift through the "
+        "next stage"]
+    return bad, j
+
+
+class TestEachWitnessOnce:
+    def test_verify_lift_runs_once_per_distinct_key(self, monkeypatch):
+        saved = 0
+        for r in carrying_runs():
+            calls = verified(monkeypatch)
+            assert verify_factorization(r).ok
+            assert len(calls) == len(witness_keys(r))
+            saved += witness_count(r) - len(calls)
+        assert saved > 0
+
+    def test_a_wrong_projection_verifies_every_witness(self, monkeypatch):
+        bad, broken = wrong_projection()
+        assert not factorization._stable(bad)
+        calls = verified(monkeypatch)
+        issues = verify_factorization(bad).issues
+        assert len(calls) == witness_count(bad) > len(witness_keys(bad))
+        assert [line for line in issues if "does not lift" in line] == [
+            f"stage 0: square #{idx} does not lift through the next stage"
+            for idx in broken]
+
+    @pytest.mark.parametrize("build", MUTATIONS + [bottom_elsewhere],
+                             ids=[m.__name__ for m in MUTATIONS]
+                             + ["bottom_elsewhere"])
+    def test_issues_match_verifying_every_witness(self, monkeypatch, build):
+        bad, _ = build()
+        issues = verify_factorization(bad).issues
+        assert issues
+        monkeypatch.setattr(factorization, "_stable", lambda result: False)
+        assert verify_factorization(bad).issues == issues
+
+    def test_every_stage_of_a_run_is_stable(self):
+        for r in carrying_runs():
+            assert len(r.stages) == 1 or factorization._stable(r)
+
+    def test_a_single_stage_run_skips_the_stage_check(self, monkeypatch):
+        r = factorize(identity(simplex(0)), "I", cap=2)
+        assert len(r.stages) == 1
+        checked = []
+        monkeypatch.setattr(factorization, "_stable",
+                            lambda result: checked.append(result))
+        assert verify_factorization(r).ok and checked == []
+
+    def test_results_that_do_not_fit_are_unstable(self):
+        r = circle_run()
+        rz = r.realization
+        inc = rz.stage_data[0].inclusion
+        # the circle's loop sent to the degenerate edge on its vertex
+        collapsed = cells.StageData(rz.stage_data[0].char_maps, _positional(
+            inc.source, inc.target, (inc.img[0], SimplexRef(
+                inc.img[0].base, (0,)))))
+        presentation = cells.CellPresentation(r.presentation.base,
+                                              r.presentation.stages)
+        presentation.__dict__["realization"] = cells.RealizeResult(
+            rz, [collapsed, *rz.stage_data[1:]])
+        point = identity(simplex(0))
+        for bad in [
+                mutated(r, right=identity(r.right.source)),
+                mutated(r, stages=[r.stages[0], FactorStage(point, [], []),
+                                   *r.stages[2:]]),
+                mutated(r, stages=[*r.stages, r.stages[-1]]),
+                mutated(r, presentation=presentation)]:
+            assert factorization._stable(bad) is False
+
+
+def without_index(x):
+    """An object equal to x whose memo holds no face index."""
+    return FiniteSimplicialSet({d: x.simplices(d) for d in range(x.dim + 1)},
+                               {n: x.faces_of(n) for n in x.names()
+                                if x.dim_of(n)})
+
+
+def with_index(x):
+    y = without_index(x)
+    for d in range(1, y.dim + 1):
+        _face_index(y, d)
+    return y
+
+
+def variants(f):
+    """f's image tuple, and each tuple with one image replaced by another
+    simplex of the target, by None, by a name the target lacks, or by a
+    word that is not in normal form: most are not simplicial."""
+    x = f.target
+    out = [f.img]
+    for t, ref in enumerate(f.img):
+        d = f.source.dim_of(list(f.source.names())[t])
+        others = list(enumerate_simplices(x, d)) + [
+            None, SimplexRef("nowhere"), SimplexRef(ref.base, (0, 0))]
+        out += [f.img[:t] + (other,) + f.img[t + 1:] for other in others
+                if other != ref]
+    return out
+
+
+class TestAttachingMapsInTheFaceIndex:
+    def test_issues_are_the_same_with_and_without_the_index(self):
+        compared = faulty = 0
+        cases = [(a, x, f.img) for a in SMALL_POOL for x in SMALL_POOL
+                 for f in enumerate_maps(a, x)[:2]]
+        bad = non_simplicial()
+        cases.append((bad.source, bad.target, bad.img))
+        for a, x, img in cases:
+            plain, indexed = without_index(x), with_index(x)
+            for images in variants(_positional(a, x, img)):
+                want = map_errors(_positional(a, plain, images))
+                assert map_errors(_positional(a, indexed, images)) == want
+                compared += 1
+                faulty += bool(want)
+            assert not any(key[0] == "faces" for key in plain._memo)
+        assert compared > 1000 and faulty > 500
+
+    def test_a_map_into_an_indexed_target_reads_no_face(self, monkeypatch):
+        x = with_index(boundary(2))
+        maps = [_positional(f.source, x, f.img)
+                for f in enumerate_maps(horn(2, 1), boundary(2))]
+        assert maps
+        reads = []
+        real = FiniteSimplicialSet.face
+        monkeypatch.setattr(FiniteSimplicialSet, "face",
+                            lambda s, ref, i: reads.append(i) or real(
+                                s, ref, i))
+        assert all(map_errors(f) == [] for f in maps)
+        assert reads == []
+        assert map_errors(non_simplicial()) and reads
